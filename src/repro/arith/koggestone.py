@@ -36,17 +36,15 @@ so no cross-talk occurs in either mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.arith.bitops import ceil_log2
-from repro.crossbar.array import BatchedCrossbarArray, CrossbarArray
-from repro.magic.executor import (
-    BatchedMagicExecutor,
-    MagicExecutor,
-    pack_ints,
-    unpack_ints,
-)
+from repro.crossbar.array import CrossbarArray
+from repro.magic.executor import MagicExecutor, unpack_ints
 from repro.magic.program import Program, ProgramBuilder
+from repro.magic.unit import CrossbarUnit
 from repro.sim.exceptions import DesignError
 
 #: Scratch rows the adder needs, independent of width (paper Sec. IV-B).
@@ -278,12 +276,7 @@ class KoggeStoneAdder:
         """
         lay = self.layout
         array = executor.array
-        if max(x, y) >> lay.width:
-            raise DesignError(
-                f"operands must fit in {lay.width} bits, got {x} and {y}"
-            )
-        if op == OP_SUB and y > x:
-            raise DesignError("subtraction requires x >= y (non-negative result)")
+        self.check_operands(x, y, op)
         self._place_word(array, lay.x_row, x)
         self._place_word(array, lay.y_row, y)
         if first_use:
@@ -293,77 +286,24 @@ class KoggeStoneAdder:
         executor.execute(self.program(op, optimize=optimize))
         return self._read_word(array, lay.out_row)
 
-    def run_batch(
-        self,
-        executor: MagicExecutor,
-        pairs,
-        op: str = OP_ADD,
-        first_use: bool = False,
-        optimize: bool = False,
-        backend: object = "bitplane",
-        fault_hook=None,
-    ):
-        """Batched counterpart of :meth:`run`: one SIMD pass over many
-        operand pairs.
-
-        Lanes are seeded from the executor's current array state (which
-        is left untouched), operands are written lane-parallel, the
-        compute program runs once through the batched executor — the
-        shared clock advances by one pass, all lanes in lock-step — and
-        the sum row is sensed per lane.  Returns the list of results,
-        bit-identical to calling :meth:`run` per pair on per-lane
-        array copies.  *backend* selects the SIMD execution strategy
-        (any :mod:`repro.magic.backend` name); accounting does not
-        depend on the choice.  *fault_hook* is forwarded to the batched
-        executor (transient-fault injection), mirroring the stage
-        mega-program path.
-        """
-        from repro.magic.backend import get_backend
-
-        resolved = get_backend(backend)
-        lay = self.layout
-        pairs = list(pairs)
-        if not pairs:
-            return []
-        for x, y in pairs:
-            if max(x, y) >> lay.width:
-                raise DesignError(
-                    f"operands must fit in {lay.width} bits, got {x} and {y}"
-                )
-            if op == OP_SUB and y > x:
-                raise DesignError(
-                    "subtraction requires x >= y (non-negative result)"
-                )
-        array = resolved.make_array(executor.array, len(pairs))
-        mask = self._window_mask(executor.array)
-        window = slice(lay.col0, lay.col0 + lay.columns)
-        for row, values in ((lay.x_row, [x for x, _ in pairs]),
-                            (lay.y_row, [y for _, y in pairs])):
-            word = array.peek_row(row)
-            word[:, window] = pack_ints(values, lay.columns)
-            array.write_row(row, word, mask)
-        if first_use:
-            array.init_rows(lay.scratch_rows, mask)
-            array.init_rows([lay.out_row], mask)
-        batched = resolved.make_executor(
-            array,
-            clock=executor.clock,
-            trace=executor.trace,
-            fault_hook=fault_hook,
-        )
-        batched.execute(self.program(op, optimize=optimize), [{} for _ in pairs])
-        return unpack_ints(array.read_row(lay.out_row)[:, window])
+    def check_operands(self, x: int, y: int, op: str) -> None:
+        """Reject operands wider than the adder or a negative difference."""
+        if max(x, y) >> self.layout.width:
+            raise DesignError(
+                f"operands must fit in {self.layout.width} bits, "
+                f"got {x} and {y}"
+            )
+        if op == OP_SUB and y > x:
+            raise DesignError(
+                "subtraction requires x >= y (non-negative result)"
+            )
 
     def _window_mask(self, array: CrossbarArray):
-        import numpy as np
-
         mask = np.zeros(array.cols, dtype=bool)
         mask[self.layout.col0 : self.layout.col0 + self.layout.columns] = True
         return mask
 
     def _place_word(self, array: CrossbarArray, row: int, value: int) -> None:
-        import numpy as np
-
         lay = self.layout
         word = array.peek_row(row)
         for i in range(lay.columns):
@@ -381,6 +321,18 @@ class KoggeStoneAdder:
         return value
 
 
+def _standalone_layout(width: int) -> KoggeStoneLayout:
+    """Operands in rows 0 and 1, the sum in row 2, scratch below."""
+    return KoggeStoneLayout(
+        width=width,
+        col0=0,
+        x_row=0,
+        y_row=1,
+        out_row=2,
+        scratch_rows=tuple(range(3, 3 + SCRATCH_ROWS)),
+    )
+
+
 def standalone_adder(
     width: int, device=None, strict_magic: bool = True
 ) -> Tuple[KoggeStoneAdder, MagicExecutor]:
@@ -392,12 +344,65 @@ def standalone_adder(
     """
     array = CrossbarArray(3 + SCRATCH_ROWS, width + 1, device=device,
                           strict_magic=strict_magic)
-    layout = KoggeStoneLayout(
-        width=width,
-        col0=0,
-        x_row=0,
-        y_row=1,
-        out_row=2,
-        scratch_rows=tuple(range(3, 3 + SCRATCH_ROWS)),
-    )
-    return KoggeStoneAdder(layout), MagicExecutor(array)
+    return KoggeStoneAdder(_standalone_layout(width)), MagicExecutor(array)
+
+
+class KoggeStoneUnit(CrossbarUnit):
+    """A standalone adder on its own crossbar unit, run in SIMD passes.
+
+    The ``(3 + 12) x (width + 1)`` footprint of :func:`standalone_adder`.
+    Every :meth:`run_pass` is one lock-step pass over many operand
+    pairs through :meth:`CrossbarUnit.replay`: each lane models one
+    sequential reuse of the same physical adder.
+    """
+
+    def __init__(
+        self,
+        width: int,
+        device=None,
+        spare_rows: int = 2,
+        optimize: bool = False,
+        backend: object = "bitplane",
+        name: Optional[str] = None,
+    ):
+        super().__init__(
+            CrossbarArray(
+                3 + SCRATCH_ROWS, width + 1, device=device,
+                spare_rows=spare_rows,
+            ),
+            backend,
+            name=name,
+        )
+        self.optimize = optimize
+        self.adder = KoggeStoneAdder(_standalone_layout(width))
+        # Power-up: establish the steady all-ones scratch/output state
+        # the adder programs assume (each pass ends with a full reset).
+        layout = self.adder.layout
+        full = np.ones(self.array.cols, dtype=bool)
+        self.array.init_rows(layout.scratch_rows, full)
+        self.array.init_rows([layout.out_row], full)
+
+    def pass_cc(self, op: str = OP_ADD) -> int:
+        """Static latency of one pass (packed cycle count when the
+        optimizer is on, the paper's closed form otherwise)."""
+        if self.optimize:
+            return self.adder.program(op, optimize=True).cycle_count
+        return self.adder.latency_cc()
+
+    def run_pass(self, pairs: List[Tuple[int, int]], op: str) -> List[int]:
+        """One SIMD pass over *pairs*; returns the sensed results."""
+        lay = self.adder.layout
+        for x, y in pairs:
+            self.adder.check_operands(x, y, op)
+        program = self.adder.program(op, optimize=self.optimize)
+        operands = (
+            (lay.x_row, [x for x, _ in pairs]),
+            (lay.y_row, [y for _, y in pairs]),
+        )
+        with self.replay(program, [{} for _ in pairs], operands) as (lanes, _):
+            return unpack_ints(lanes.read_row(lay.out_row))
+
+    def optimizer_report(self, op: str):
+        """Cycle-packer report of this unit's *op* program."""
+        self.adder.program(op, optimize=True)
+        return self.adder.optimizer_reports[op]

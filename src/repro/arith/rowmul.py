@@ -171,6 +171,17 @@ class RowMultiplier:
         cells[:, 6] += 2 * m   # cool scratch
         cells[:, 7] += 2 * m   # cool scratch
 
+    def rotate_hot_cells(self) -> None:
+        """Swap the hot scratch columns (4, 5) with the cold pair (8, 9).
+
+        Wear-leveling for the row (paper Sec. IV-B): relabeling the
+        accumulated per-partition write image makes the 4x hot cells
+        alternate between two physical locations on successive
+        multiplications, halving the long-run maximum.
+        """
+        cells = self.cell_writes.reshape(self.spec.width, CELLS_PER_PARTITION)
+        cells[:, [4, 5, 8, 9]] = cells[:, [8, 9, 4, 5]]
+
     # ------------------------------------------------------------------
     def stats(self) -> RunStats:
         """Aggregate run statistics for all multiplications so far."""

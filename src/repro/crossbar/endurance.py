@@ -14,7 +14,7 @@ exposes the logical-to-physical row mapping it maintains.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 import numpy as np
 
@@ -121,6 +121,22 @@ class WearLevelingController:
             raise ValueError("swap count must be non-negative")
         self.swaps += count
         self._rebuild_mapping()
+
+    def batch_groups(self, jobs: int) -> Iterator[List[int]]:
+        """Split *jobs* successive operations into one group per state.
+
+        Run one at a time, the regions swap after every operation, so
+        the even-indexed operations see the current state and the odd
+        ones the other.  Yields the even indices, swaps, yields the odd
+        indices (if any), and leaves the mapping where *jobs* swaps
+        would.  Batched stages replay each group as one SIMD pass.
+        """
+        start = self.swaps
+        yield list(range(0, jobs, 2))
+        self.swap()
+        if jobs > 1:
+            yield list(range(1, jobs, 2))
+        self.advance(start + jobs - self.swaps)
 
     @property
     def swapped(self) -> bool:

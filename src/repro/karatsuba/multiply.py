@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.arith import rowmul
-from repro.arith.rowmul import RowMultiplier, RowMultiplierSpec
+from repro.karatsuba.stage import RowStage
 from repro.karatsuba.unroll import UnrolledPlan, build_plan
-from repro.reliability.residue import DEFAULT_RESIDUE_BITS, ResidueChecker
-from repro.sim.clock import Clock
+from repro.reliability.residue import DEFAULT_RESIDUE_BITS
 from repro.sim.exceptions import DesignError
 
 #: Parallel multiplier rows in the L = 2 design.
@@ -61,7 +60,7 @@ class MultiplicationResult:
     cycles: int
 
 
-class MultiplicationStage:
+class MultiplicationStage(RowStage):
     """Cycle-accurate multiplication subarray (nine parallel rows)."""
 
     def __init__(
@@ -72,18 +71,16 @@ class MultiplicationStage:
     ):
         _check_width(n_bits)
         self.n_bits = n_bits
-        self.width = operand_width(n_bits)
         self.plan: UnrolledPlan = build_plan(n_bits, 2)
-        self.wear_leveling = wear_leveling
-        self.checker = ResidueChecker("multiply", residue_bits)
-        spec = RowMultiplierSpec(self.width)
-        self.rows: Dict[str, RowMultiplier] = {
-            step.out: RowMultiplier(spec) for step in self.plan.multiplications
-        }
+        super().__init__(
+            "multiply",
+            operand_width(n_bits),
+            [(s.out, s.lhs, s.rhs) for s in self.plan.multiplications],
+            wear_leveling=wear_leveling,
+            residue_bits=residue_bits,
+        )
         if len(self.rows) != NUM_ROWS:
             raise AssertionError("unexpected L=2 multiplication count")
-        self.clock = Clock()
-        self.passes = 0
 
     # ------------------------------------------------------------------
     def process(self, operands: Dict[str, int]) -> MultiplicationResult:
@@ -93,13 +90,10 @@ class MultiplicationStage:
         (the precompute stage's output mapping is exactly that).
         """
         start = self.clock.cycles
-        products = self._multiply_checked(operands)
+        products = self.multiply(operands)
         # All nine rows operate in lock-step SIMD fashion; the stage
         # advances by one row latency, not nine.
         self.clock.tick(latency_cc(self.n_bits), category="rowmul")
-        if self.wear_leveling:
-            self._rotate_hot_cells()
-        self.passes += 1
         return MultiplicationResult(
             products=products, cycles=self.clock.cycles - start
         )
@@ -116,60 +110,8 @@ class MultiplicationStage:
         per job (each job still charges its writes and rotates the hot
         cells in order).
         """
-        operands_list = list(operands_list)
-        if not operands_list:
-            return []
-        cycles = latency_cc(self.n_bits)
-        results: List[MultiplicationResult] = []
-        for operands in operands_list:
-            products = self._multiply_checked(operands)
-            if self.wear_leveling:
-                self._rotate_hot_cells()
-            self.passes += 1
-            results.append(MultiplicationResult(products=products, cycles=cycles))
-        self.clock.tick(cycles, category="rowmul")
-        return results
-
-    def _multiply_checked(self, operands: Dict[str, int]) -> Dict[str, int]:
-        """The nine partial multiplications, each residue-verified:
-        ``res(z) == res(x)·res(y) mod (2^r − 1)`` per sub-product."""
-        products: Dict[str, int] = {}
-        for step in self.plan.multiplications:
-            try:
-                lhs = operands[step.lhs]
-                rhs = operands[step.rhs]
-            except KeyError as missing:
-                raise DesignError(f"missing operand {missing} for {step.out}")
-            product = self.rows[step.out].multiply(lhs, rhs)
-            self.checker.check_product(
-                product, self.checker.res(lhs), self.checker.res(rhs), step.out
-            )
-            products[step.out] = product
-        return products
-
-    def _rotate_hot_cells(self) -> None:
-        """Swap each row's hot scratch columns with a cold pair.
-
-        Modeled by rotating the per-partition write image so the 4x
-        hot cells alternate between two physical locations, halving
-        the long-run maximum (Sec. IV-B wear-leveling, applied to the
-        multiplier rows)."""
-        for row in self.rows.values():
-            cells = row.cell_writes.reshape(self.width, rowmul.CELLS_PER_PARTITION)
-            # Exchange the roles of columns (4,5) and (8,9) for the
-            # next pass by physically relabeling the accumulated image.
-            cells[:, [4, 5, 8, 9]] = cells[:, [8, 9, 4, 5]]
-
-    # ------------------------------------------------------------------
-    @property
-    def area_cells(self) -> int:
-        return area_cells(self.n_bits)
-
-    def latency_cc(self) -> int:
-        return latency_cc(self.n_bits)
-
-    def max_writes(self) -> int:
-        return max(row.max_writes() for row in self.rows.values())
-
-    def row_names(self) -> List[str]:
-        return list(self.rows)
+        cycles = self.latency_cc()
+        return [
+            MultiplicationResult(products=products, cycles=cycles)
+            for products in self.multiply_batch(operands_list)
+        ]

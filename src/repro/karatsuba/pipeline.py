@@ -120,11 +120,7 @@ class KaratsubaPipeline:
         return PipelineTiming(
             n_bits=self.n_bits,
             stage_latencies=self.controller.stage_latencies(),
-            stage_names=getattr(
-                self.controller,
-                "stage_names",
-                ("precompute", "multiply", "postcompute"),
-            ),
+            stage_names=tuple(name for name, _ in self.controller.stages),
         )
 
     def multiply(self, a: int, b: int) -> int:

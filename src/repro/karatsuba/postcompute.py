@@ -50,11 +50,12 @@ from repro.arith.koggestone import (
     KoggeStoneLayout,
 )
 from repro.crossbar.array import CrossbarArray
-from repro.magic.backend import get_backend
 from repro.crossbar.endurance import WearLevelingController
-from repro.magic.executor import MagicExecutor, int_to_bits
+from repro.karatsuba.stage import Stage
+from repro.magic.executor import int_to_bits
 from repro.magic.passes import summarize_reports
 from repro.magic.program import Program, ProgramBuilder
+from repro.magic.unit import CrossbarUnit
 from repro.reliability.residue import DEFAULT_RESIDUE_BITS, ResidueChecker
 from repro.sim.clock import Clock
 from repro.sim.exceptions import DesignError, StageSelfCheckError
@@ -103,7 +104,7 @@ class PostcomputeResult:
     cycles: int
 
 
-class PostcomputeStage:
+class PostcomputeStage(Stage):
     """Cycle-accurate postcomputation subarray.
 
     Every pass stages its operand words into the adder's x/y rows
@@ -129,18 +130,22 @@ class PostcomputeStage:
         #: (:mod:`repro.magic.passes`).  Off by default so the stage
         #: reproduces the paper's per-op cycle counts exactly.
         self.optimize = optimize
-        #: Batched execution strategy (see :mod:`repro.magic.backend`).
-        #: Per-lane results and accounting are bit-identical across
-        #: backends; defaults to the historical bit-plane path.
-        self.backend = get_backend(backend)
         self.cols = columns(n_bits)
         self.adder_width = self.cols - 1
-        self.array = CrossbarArray(
-            TOTAL_ROWS, self.cols, device=device, spare_rows=spare_rows
-        )
         self.checker = ResidueChecker("postcompute", residue_bits)
         self.clock = Clock()
-        self.executor = MagicExecutor(self.array, clock=self.clock)
+        #: The stage subarray; *backend* (:mod:`repro.magic.backend`)
+        #: picks its batched execution strategy.
+        self.unit = CrossbarUnit(
+            CrossbarArray(
+                TOTAL_ROWS, self.cols, device=device, spare_rows=spare_rows
+            ),
+            backend,
+            clock=self.clock,
+        )
+        self.units = (self.unit,)
+        self.array = self.unit.array
+        self.executor = self.unit.executor
         self.wear_leveling = wear_leveling
         # Exchange the lower and upper half of the subarray after every
         # multiplication: all 20 rows alternate between two physical
@@ -360,21 +365,15 @@ class PostcomputeStage:
                 raise DesignError(f"missing partial products: {sorted(missing)}")
             plans.append(self._plan_passes(products))
 
-        start_swaps = self.leveler.swaps
-        if self.wear_leveling:
-            groups = [
-                [j for j in range(len(products_list)) if j % 2 == 0],
-                [j for j in range(len(products_list)) if j % 2 == 1],
-            ]
-        else:
-            groups = [list(range(len(products_list)))]
-
+        groups = (
+            self.leveler.batch_groups(len(products_list))
+            if self.wear_leveling
+            else [list(range(len(products_list)))]
+        )
         span = self.cols // 2
         products_out: Dict[int, int] = {}
         cycles_per_job = 0
-        for group_index, group in enumerate(groups):
-            if not group:
-                continue
+        for group in groups:
             adder = self._adder()
             self._power_up(adder)
             program, hist, cycles_per_job = self._mega_program()
@@ -393,36 +392,18 @@ class PostcomputeStage:
                     values[f"y{index}"] = y
                 bindings.append(values)
 
-            batched = self.backend.make_array(self.array, len(group))
-            batched.reset_to_ones()
-            batched.repin_faults()
-            executor = self.backend.make_executor(
-                batched, clock=Clock(), fault_hook=self.executor.fault_hook
-            )
-            # Compile once per wear state via the stage's persistent
+            # Compile once per wear state via the unit's persistent
             # cache; each batch replays the compiled program.
-            stats = executor.execute(self.executor.compile(program), bindings)
-
-            for lane, j in enumerate(group):
-                passes, product = plans[j]
-                for index, (op, x, y) in enumerate(passes):
-                    sensed = stats[lane].results[f"out{index}"]
-                    self._check_pass(sensed, op, x, y, f"pass-{index + 1}")
-                products_out[j] = product
-
-            self.array.writes += batched.writes * len(group)
-            self.array.energy_fj += float(batched.energy_fj.sum())
-            self.array.state[:] = True
+            with self.unit.replay(program, bindings) as (_, stats):
+                for lane, j in enumerate(group):
+                    passes, product = plans[j]
+                    for index, (op, x, y) in enumerate(passes):
+                        sensed = stats[lane].results[f"out{index}"]
+                        self._check_pass(sensed, op, x, y, f"pass-{index + 1}")
+                    products_out[j] = product
             for opcode, cost in hist.items():
                 self.clock.tick(cost, category=opcode)
             self.passes += len(group)
-            if self.wear_leveling and group_index + 1 < len(groups):
-                self.leveler.swap()
-
-        if self.wear_leveling:
-            self.leveler.advance(
-                start_swaps + len(products_list) - self.leveler.swaps
-            )
         return [
             PostcomputeResult(product=products_out[j], cycles=cycles_per_job)
             for j in range(len(products_list))
@@ -491,36 +472,6 @@ class PostcomputeStage:
             )
 
     # ------------------------------------------------------------------
-    # Reliability hooks
-    # ------------------------------------------------------------------
-    @property
-    def fault_hook(self):
-        """Transient-fault injector driving this stage's executors."""
-        return self.executor.fault_hook
-
-    @fault_hook.setter
-    def fault_hook(self, hook) -> None:
-        self.executor.fault_hook = hook
-
-    def diagnose_and_repair(self) -> List[int]:
-        """Write-verify every logical row; remap failures onto spares.
-
-        Same contract as the precompute stage's method: returns the
-        remapped logical rows (empty for a transient upset) and leaves
-        the array at the all-ones steady state for the replay.
-        """
-        faulty = self.array.find_faulty_rows()
-        for row in faulty:
-            self.array.remap_row(row)
-        self.array.state[:] = True
-        self.array.repin_faults()
-        return faulty
-
-    # ------------------------------------------------------------------
-    @property
-    def area_cells(self) -> int:
-        return self.array.cells
-
     def latency_cc(self) -> int:
         if not self.optimize:
             return latency_cc(self.n_bits)
@@ -542,9 +493,6 @@ class PostcomputeStage:
         for adder in self._adders.values():
             reports.extend(adder.optimizer_reports.values())
         return summarize_reports(reports)
-
-    def max_writes(self) -> int:
-        return self.array.max_writes()
 
 
 def _placed_bits(value: int, offset: int, width: int, cols: int):

@@ -1,0 +1,125 @@
+"""The stage surface shared by every three-slot datapath.
+
+A :class:`Stage` is one pipeline slot.  What it owns decides its
+accounting: crossbar units (:class:`~repro.magic.unit.CrossbarUnit`,
+the MAGIC subarrays), single-row multipliers
+(:class:`~repro.arith.rowmul.RowMultiplier`), or neither (a slot that
+only moves words through the periphery).  Area, wear and repair derive
+from those lists, so a stage never restates them.  :class:`RowStage`
+is the checked multiply-and-rotate loop the Karatsuba multiplication
+stage, the Toom-3 point-wise stage and the schoolbook row share.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+from repro.arith import rowmul
+from repro.arith.rowmul import RowMultiplier, RowMultiplierSpec
+from repro.magic.unit import CrossbarUnit
+from repro.reliability.residue import DEFAULT_RESIDUE_BITS, ResidueChecker
+from repro.sim.clock import Clock
+from repro.sim.exceptions import DesignError
+
+
+class Stage:
+    """One pipeline slot: what it owns, and the accounting that follows."""
+
+    #: Crossbar units the stage owns: the one place that lists them.
+    units: Tuple[CrossbarUnit, ...] = ()
+    #: Row multipliers by output name.
+    rows: Dict[str, RowMultiplier] = {}
+    #: Residue checker of the stage's outputs (``None`` if it computes
+    #: nothing).
+    checker: Optional[ResidueChecker] = None
+
+    def latency_cc(self) -> int:
+        """Per-job stage latency in cycles."""
+        raise NotImplementedError
+
+    @property
+    def area_cells(self) -> int:
+        """Memory cells across the stage's crossbars and rows."""
+        return sum(unit.array.cells for unit in self.units) + sum(
+            row.spec.cells for row in self.rows.values()
+        )
+
+    def max_writes(self) -> int:
+        """Hottest-cell write count across the stage's cells so far."""
+        return max(
+            [unit.array.max_writes() for unit in self.units]
+            + [row.max_writes() for row in self.rows.values()],
+            default=0,
+        )
+
+    def diagnose_and_repair(self) -> List[int]:
+        """Write-verify and remap every crossbar; the remapped rows."""
+        return [
+            row for unit in self.units for row in unit.diagnose_and_repair()
+        ]
+
+
+class RowStage(Stage):
+    """Single-row multipliers in lock-step, one per step.
+
+    Each step ``(out, lhs, rhs)`` multiplies two named operands in its
+    own ``width``-bit row.  Every product is residue-verified, and with
+    wear-leveling on each row rotates its hot cells after every pass.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        width: int,
+        steps: Iterable[Tuple[str, str, str]],
+        wear_leveling: bool = True,
+        residue_bits: int = DEFAULT_RESIDUE_BITS,
+    ):
+        self.width = width
+        self.steps: Tuple[Tuple[str, str, str], ...] = tuple(steps)
+        self.wear_leveling = wear_leveling
+        self.checker = ResidueChecker(name, residue_bits)
+        spec = RowMultiplierSpec(width)
+        self.rows = {out: RowMultiplier(spec) for out, _, _ in self.steps}
+        self.clock = Clock()
+        self.passes = 0
+
+    def multiply(self, operands: Dict[str, int]) -> Dict[str, int]:
+        """One pass over named operands; returns the products by name.
+
+        Each product is checked as ``res(z) == res(x)·res(y) mod
+        (2^r − 1)``.  The clock is the caller's to advance.
+        """
+        res = self.checker.res
+        products: Dict[str, int] = {}
+        for out, lhs_name, rhs_name in self.steps:
+            try:
+                lhs = operands[lhs_name]
+                rhs = operands[rhs_name]
+            except KeyError as missing:
+                raise DesignError(f"missing operand {missing} for {out}")
+            product = self.rows[out].multiply(lhs, rhs)
+            self.checker.check_product(product, res(lhs), res(rhs), out)
+            products[out] = product
+        if self.wear_leveling:
+            for row in self.rows.values():
+                row.rotate_hot_cells()
+        self.passes += 1
+        return products
+
+    def multiply_batch(
+        self, operands_list: Sequence[Dict[str, int]]
+    ) -> List[Dict[str, int]]:
+        """B passes with the lock-step extended across operand sets.
+
+        Products and wear match B calls of :meth:`multiply`; the clock
+        advances by a single row latency for the whole batch.
+        """
+        products = [self.multiply(operands) for operands in operands_list]
+        if products:
+            self.clock.tick(self.latency_cc(), category="rowmul")
+        return products
+
+    def latency_cc(self) -> int:
+        """All rows finish together: one row latency."""
+        return rowmul.latency_cc(self.width)

@@ -49,30 +49,18 @@ the same point set (see ``tests/test_portfolio.py``).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.arith import rowmul
 from repro.arith.bitops import ceil_div, ceil_log2, mask
-from repro.arith.koggestone import (
-    OP_ADD,
-    OP_SUB,
-    SCRATCH_ROWS,
-    KoggeStoneAdder,
-    KoggeStoneLayout,
-)
-from repro.arith.rowmul import RowMultiplier, RowMultiplierSpec
-from repro.crossbar.array import CrossbarArray
-from repro.karatsuba.controller import JobRecord
-from repro.magic.backend import get_backend
-from repro.magic.executor import MagicExecutor, pack_ints, unpack_ints
+from repro.arith.koggestone import OP_ADD, OP_SUB, KoggeStoneUnit
+from repro.karatsuba.controller import JobRecord, StagedController
+from repro.karatsuba.stage import RowStage, Stage
+from repro.magic.passes import summarize_reports
 from repro.reliability.residue import DEFAULT_RESIDUE_BITS, ResidueChecker
 from repro.sim.clock import Clock
 from repro.sim.exceptions import DesignError
-from repro.telemetry import spans as _telemetry
 
 #: Smallest operand the Toom-3 datapath supports.  Unlike the L = 2
 #: Karatsuba design there is **no divisibility constraint**: chunking
@@ -183,105 +171,52 @@ def split3(value: int, cb: int) -> List[int]:
 
 
 # ----------------------------------------------------------------------
-# Batched Kogge-Stone adder unit with stage-style accounting
+# Residue-checked lock-step adder passes
 # ----------------------------------------------------------------------
-class _BatchedAdderUnit:
-    """One placed Kogge-Stone adder plus its crossbar, batch-executed.
+class _AdderPassStage(Stage):
+    """A Toom-3 stage built from lock-step passes on Kogge-Stone units.
 
-    Mirrors the Karatsuba stages' SIMD convention: lanes are seeded
-    from the steady all-ones template, the compiled program (persistent
-    per-executor compile cache) replays across lanes, per-lane writes
-    and energy fold back into the template array, and the caller's
-    stage clock advances by one pass — lanes run in lock-step.
+    Every pass is residue-verified lane by lane against the residues of
+    its staged operands, and advances the stage clock by one pass.
     """
 
     def __init__(
-        self,
-        width: int,
-        device=None,
-        spare_rows: int = 2,
-        optimize: bool = False,
-        backend: object = "bitplane",
+        self, name: str, n_bits: int, residue_bits: int, optimize: bool
     ):
-        self.width = width
+        _check_width(n_bits)
+        self.n_bits = n_bits
+        self.cb = chunk_bits(n_bits)
         self.optimize = optimize
-        self.backend = get_backend(backend)
-        self.array = CrossbarArray(
-            3 + SCRATCH_ROWS, width + 1, device=device, spare_rows=spare_rows
+        self.checker = ResidueChecker(name, residue_bits)
+        self.clock = Clock()
+        self.passes = 0
+
+    def _pass(
+        self,
+        unit: KoggeStoneUnit,
+        xs: Sequence[int],
+        ys: Sequence[int],
+        op: str,
+        name: str,
+    ) -> List[int]:
+        """One lock-step pass of *op* over the lanes ``(xs[i], ys[i])``."""
+        sensed = unit.run_pass(list(zip(xs, ys)), op)
+        self.clock.tick(unit.pass_cc(op), category="nor")
+        self.passes += 1
+        res = self.checker.res
+        sign = 1 if op == OP_ADD else -1
+        for lane, (value, x, y) in enumerate(zip(sensed, xs, ys)):
+            self.checker.check_linear(
+                value, [(res(x), 1), (res(y), sign)], f"{name}[{lane}]"
+            )
+        return sensed
+
+    def optimizer_stats(self) -> Dict[str, object]:
+        if not self.optimize:
+            return {"enabled": False}
+        return summarize_reports(
+            [unit.optimizer_report(op) for unit, op in self.programs]
         )
-        layout = KoggeStoneLayout(
-            width=width,
-            col0=0,
-            x_row=0,
-            y_row=1,
-            out_row=2,
-            scratch_rows=tuple(range(3, 3 + SCRATCH_ROWS)),
-        )
-        self.adder = KoggeStoneAdder(layout)
-        #: Scalar anchor executor: persistent compile cache + the
-        #: stage-shared transient fault hook.
-        self.executor = MagicExecutor(self.array)
-        # Power-up: establish the steady all-ones scratch/output state
-        # the adder programs assume (each pass ends with a full reset).
-        full = np.ones(self.array.cols, dtype=bool)
-        self.array.init_rows(layout.scratch_rows, full)
-        self.array.init_rows([layout.out_row], full)
-
-    def pass_cc(self, op: str = OP_ADD) -> int:
-        """Static latency of one pass (packed cycle count when the
-        optimizer is on, the paper's closed form otherwise)."""
-        if self.optimize:
-            return self.adder.program(op, optimize=True).cycle_count
-        return self.adder.latency_cc()
-
-    def run_pass(self, pairs: List[Tuple[int, int]], op: str) -> List[int]:
-        """One SIMD pass over *pairs*; returns the sensed sums."""
-        lay = self.adder.layout
-        for x, y in pairs:
-            if max(x, y) >> lay.width:
-                raise DesignError(
-                    f"operands must fit in {lay.width} bits, got {x} and {y}"
-                )
-            if op == OP_SUB and y > x:
-                raise DesignError(
-                    "subtraction requires x >= y (non-negative result)"
-                )
-        batched = self.backend.make_array(self.array, len(pairs))
-        batched.repin_faults()
-        window = slice(lay.col0, lay.col0 + lay.columns)
-        full = np.ones(self.array.cols, dtype=bool)
-        for row, values in (
-            (lay.x_row, [x for x, _ in pairs]),
-            (lay.y_row, [y for _, y in pairs]),
-        ):
-            word = batched.peek_row(row)
-            word[:, window] = pack_ints(values, lay.columns)
-            batched.write_row(row, word, full)
-        executor = self.backend.make_executor(
-            batched, clock=Clock(), fault_hook=self.executor.fault_hook
-        )
-        program = self.adder.program(op, optimize=self.optimize)
-        executor.execute(self.executor.compile(program), [{} for _ in pairs])
-        outs = unpack_ints(batched.read_row(lay.out_row)[:, window])
-        # Fold per-lane wear/energy back into the stage array (each
-        # lane models one sequential reuse of the same physical adder).
-        self.array.writes += batched.writes * len(pairs)
-        self.array.energy_fj += float(batched.energy_fj.sum())
-        self.array.state[:] = True
-        return outs
-
-    # -- reliability ---------------------------------------------------
-    def diagnose_and_repair(self) -> List[int]:
-        faulty = self.array.find_faulty_rows()
-        for row in faulty:
-            self.array.remap_row(row)
-        self.array.state[:] = True
-        self.array.repin_faults()
-        return faulty
-
-    def optimizer_report(self, op: str):
-        self.adder.program(op, optimize=True)
-        return self.adder.optimizer_reports[op]
 
 
 # ----------------------------------------------------------------------
@@ -295,7 +230,7 @@ class EvalResult:
     cycles: int
 
 
-class EvaluationStage:
+class EvaluationStage(_AdderPassStage):
     """Evaluate both operands at {1, 2, 4} in six batched adder passes.
 
     Points 0 and inf are wire taps (``a0`` and ``a2``).  Shifted
@@ -315,20 +250,17 @@ class EvaluationStage:
         optimize: bool = False,
         backend: object = "bitplane",
     ):
-        _check_width(n_bits)
-        self.n_bits = n_bits
-        self.cb = chunk_bits(n_bits)
-        self.optimize = optimize
-        self.unit = _BatchedAdderUnit(
+        super().__init__("evaluate", n_bits, residue_bits, optimize)
+        self.unit = KoggeStoneUnit(
             eval_width(n_bits),
             device=device,
             spare_rows=spare_rows,
             optimize=optimize,
             backend=backend,
         )
-        self.checker = ResidueChecker("evaluate", residue_bits)
-        self.clock = Clock()
-        self.passes = 0
+        self.units = (self.unit,)
+        #: ``(unit, op)`` of every program the stage replays.
+        self.programs = ((self.unit, OP_ADD),)
 
     # ------------------------------------------------------------------
     def process_batch(
@@ -348,86 +280,32 @@ class EvaluationStage:
         self.clock.tick(EVAL_PASSES, category="write")
 
         # Lanes 0..B-1 evaluate the a-operands, lanes B..2B-1 the
-        # b-operands; chunk triples flattened per lane.
+        # b-operands.  A(p) = a0 + (a1 << s1) + (a2 << s2), two passes.
         chunks = [a for a, _ in jobs] + [b for _, b in jobs]
-        res = self.checker.res
-        digested = [[res(c) for c in triple] for triple in chunks]
-
-        def checked_pass(pairs, residue_pairs, op, name):
-            sensed = self.unit.run_pass(pairs, op)
-            self.clock.tick(self.unit.pass_cc(op), category="nor")
-            self.passes += 1
-            out = []
-            for lane, value in enumerate(sensed):
-                rx, ry = residue_pairs[lane]
-                sign = 1 if op == OP_ADD else -1
-                out.append(
-                    (
-                        value,
-                        self.checker.check_linear(
-                            value, [(rx, 1), (ry, sign)], f"{name}[{lane}]"
-                        ),
-                    )
-                )
-            return out
-
-        # A(1) = a0 + a1 + a2 (two passes).
-        s = checked_pass(
-            [(t[1], t[2]) for t in chunks],
-            [(d[1], d[2]) for d in digested],
-            OP_ADD,
-            "e1.sum",
-        )
-        e1 = checked_pass(
-            [(v, t[0]) for (v, _), t in zip(s, chunks)],
-            [(r, d[0]) for (_, r), d in zip(s, digested)],
-            OP_ADD,
-            "e1",
-        )
-        # A(2) = a0 + (a1 << 1) + (a2 << 2).
-        s = checked_pass(
-            [(t[1] << 1, t[2] << 2) for t in chunks],
-            [(res(t[1] << 1), res(t[2] << 2)) for t in chunks],
-            OP_ADD,
-            "e2.sum",
-        )
-        e2 = checked_pass(
-            [(v, t[0]) for (v, _), t in zip(s, chunks)],
-            [(r, d[0]) for (_, r), d in zip(s, digested)],
-            OP_ADD,
-            "e2",
-        )
-        # A(4) = a0 + (a1 << 2) + (a2 << 4).
-        s = checked_pass(
-            [(t[1] << 2, t[2] << 4) for t in chunks],
-            [(res(t[1] << 2), res(t[2] << 4)) for t in chunks],
-            OP_ADD,
-            "e4.sum",
-        )
-        e4 = checked_pass(
-            [(v, t[0]) for (v, _), t in zip(s, chunks)],
-            [(r, d[0]) for (_, r), d in zip(s, digested)],
-            OP_ADD,
-            "e4",
-        )
+        low = [t[0] for t in chunks]
+        evals = {}
+        for point, s1, s2 in ((1, 0, 0), (2, 1, 2), (4, 2, 4)):
+            upper = self._pass(
+                self.unit,
+                [t[1] << s1 for t in chunks],
+                [t[2] << s2 for t in chunks],
+                OP_ADD,
+                f"e{point}.sum",
+            )
+            evals[point] = self._pass(
+                self.unit, upper, low, OP_ADD, f"e{point}"
+            )
         self.clock.tick(1, category="write")
         cycles = self.clock.cycles - start
 
         results: List[EvalResult] = []
-        B = len(jobs)
-        for j, (a_chunks, b_chunks) in enumerate(jobs):
-            values = {
-                "A0": a_chunks[0],
-                "A1": e1[j][0],
-                "A2": e2[j][0],
-                "A4": e4[j][0],
-                "Ainf": a_chunks[2],
-                "B0": b_chunks[0],
-                "B1": e1[B + j][0],
-                "B2": e2[B + j][0],
-                "B4": e4[B + j][0],
-                "Binf": b_chunks[2],
-            }
+        for j, job in enumerate(jobs):
+            values: Dict[str, int] = {}
+            for side, triple, lane in zip("AB", job, (j, len(jobs) + j)):
+                values[f"{side}0"] = triple[0]
+                for point, sums in evals.items():
+                    values[f"{side}{point}"] = sums[lane]
+                values[f"{side}inf"] = triple[2]
             results.append(EvalResult(values=values, cycles=cycles))
         return results
 
@@ -436,39 +314,6 @@ class EvaluationStage:
         if not self.optimize:
             return eval_latency_cc(self.n_bits)
         return EVAL_PASSES + EVAL_PASSES * self.unit.pass_cc(OP_ADD) + 1
-
-    @property
-    def area_cells(self) -> int:
-        return self.unit.array.cells
-
-    @property
-    def array(self) -> CrossbarArray:
-        return self.unit.array
-
-    @property
-    def executor(self) -> MagicExecutor:
-        return self.unit.executor
-
-    @property
-    def fault_hook(self):
-        return self.unit.executor.fault_hook
-
-    @fault_hook.setter
-    def fault_hook(self, hook) -> None:
-        self.unit.executor.fault_hook = hook
-
-    def diagnose_and_repair(self) -> List[int]:
-        return self.unit.diagnose_and_repair()
-
-    def max_writes(self) -> int:
-        return self.unit.array.max_writes()
-
-    def optimizer_stats(self) -> Dict[str, object]:
-        if not self.optimize:
-            return {"enabled": False}
-        from repro.magic.passes import summarize_reports
-
-        return summarize_reports([self.unit.optimizer_report(OP_ADD)])
 
 
 # ----------------------------------------------------------------------
@@ -492,7 +337,7 @@ POINTWISE_STEPS: Tuple[Tuple[str, str, str], ...] = (
 )
 
 
-class PointwiseStage:
+class PointwiseStage(RowStage):
     """Five single-row multipliers in lock-step (``cb + 5``-bit rows)."""
 
     def __init__(
@@ -503,57 +348,22 @@ class PointwiseStage:
     ):
         _check_width(n_bits)
         self.n_bits = n_bits
-        self.width = pointwise_width(n_bits)
-        self.wear_leveling = wear_leveling
-        self.checker = ResidueChecker("pointwise", residue_bits)
-        spec = RowMultiplierSpec(self.width)
-        self.rows: Dict[str, RowMultiplier] = {
-            out: RowMultiplier(spec) for out, _, _ in POINTWISE_STEPS
-        }
-        self.clock = Clock()
-        self.passes = 0
+        super().__init__(
+            "pointwise",
+            pointwise_width(n_bits),
+            POINTWISE_STEPS,
+            wear_leveling=wear_leveling,
+            residue_bits=residue_bits,
+        )
 
     def process_batch(
         self, operands_list: List[Dict[str, int]]
     ) -> List[PointwiseResult]:
-        operands_list = list(operands_list)
-        if not operands_list:
-            return []
         cycles = self.latency_cc()
-        results: List[PointwiseResult] = []
-        for operands in operands_list:
-            products: Dict[str, int] = {}
-            for out, lhs_name, rhs_name in POINTWISE_STEPS:
-                lhs = operands[lhs_name]
-                rhs = operands[rhs_name]
-                product = self.rows[out].multiply(lhs, rhs)
-                self.checker.check_product(
-                    product, self.checker.res(lhs), self.checker.res(rhs), out
-                )
-                products[out] = product
-            if self.wear_leveling:
-                self._rotate_hot_cells()
-            self.passes += 1
-            results.append(PointwiseResult(products=products, cycles=cycles))
-        self.clock.tick(cycles, category="rowmul")
-        return results
-
-    def _rotate_hot_cells(self) -> None:
-        for row in self.rows.values():
-            cells = row.cell_writes.reshape(
-                self.width, rowmul.CELLS_PER_PARTITION
-            )
-            cells[:, [4, 5, 8, 9]] = cells[:, [8, 9, 4, 5]]
-
-    def latency_cc(self) -> int:
-        return pointwise_latency_cc(self.n_bits)
-
-    @property
-    def area_cells(self) -> int:
-        return len(self.rows) * rowmul.area_cells(self.width)
-
-    def max_writes(self) -> int:
-        return max(row.max_writes() for row in self.rows.values())
+        return [
+            PointwiseResult(products=products, cycles=cycles)
+            for products in self.multiply_batch(operands_list)
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -565,7 +375,7 @@ class InterpolationResult:
     cycles: int
 
 
-class InterpolationStage:
+class InterpolationStage(_AdderPassStage):
     """Recover c0..c4 from the five products and assemble the result.
 
     All intermediates are non-negative (a consequence of the positive
@@ -586,23 +396,23 @@ class InterpolationStage:
         optimize: bool = False,
         backend: object = "bitplane",
     ):
-        _check_width(n_bits)
-        self.n_bits = n_bits
-        self.cb = chunk_bits(n_bits)
-        self.optimize = optimize
+        super().__init__("interpolate", n_bits, residue_bits, optimize)
         self.iw = interp_width(n_bits)
         self.rw = recombine_width(n_bits)
-        self.narrow = _BatchedAdderUnit(
+        self.narrow = KoggeStoneUnit(
             self.iw, device=device, spare_rows=spare_rows,
             optimize=optimize, backend=backend,
         )
-        self.wide = _BatchedAdderUnit(
+        self.wide = KoggeStoneUnit(
             self.rw, device=device, spare_rows=spare_rows,
-            optimize=optimize, backend=backend,
+            optimize=optimize, backend=backend, name="wide",
         )
-        self.checker = ResidueChecker("interpolate", residue_bits)
-        self.clock = Clock()
-        self.passes = 0
+        self.units = (self.narrow, self.wide)
+        self.programs = (
+            (self.narrow, OP_ADD),
+            (self.narrow, OP_SUB),
+            (self.wide, OP_ADD),
+        )
 
     # ------------------------------------------------------------------
     def process_batch(
@@ -613,49 +423,29 @@ class InterpolationStage:
             return []
         start = self.clock.cycles
         self.clock.tick(5, category="write")
-        res = self.checker.res
         cb = self.cb
         wmask = mask(self.iw)
-
-        def checked(unit, pairs, op, name):
-            """One lock-step pass; residues predicted from the staged
-            operands, verified against every sensed lane."""
-            sensed = unit.run_pass([(x, y) for x, y, _, _ in pairs], op)
-            self.clock.tick(unit.pass_cc(op), category="nor")
-            self.passes += 1
-            sign = 1 if op == OP_ADD else -1
-            for lane, (value, (_, _, rx, ry)) in enumerate(zip(sensed, pairs)):
-                self.checker.check_linear(
-                    value, [(rx, 1), (ry, sign)], f"{name}[{lane}]"
-                )
-            return sensed
-
-        def pass_(unit, xs, ys, op, name):
-            pairs = [(x, y, res(x), res(y)) for x, y in zip(xs, ys)]
-            return checked(unit, pairs, op, name)
+        narrow = self.narrow
+        pass_ = self._pass
 
         v = {key: [p[key] for p in products_list] for key in
              ("v0", "v1", "v2", "v4", "vinf")}
 
         # Reduction to w1 = c1+c2+c3, w2 = c1+2c2+4c3, w4 = c1+4c2+16c3.
-        m1 = pass_(self.narrow, v["v1"], v["v0"], OP_SUB, "m1")
-        w1 = pass_(self.narrow, m1, v["vinf"], OP_SUB, "w1")
-        m2 = pass_(self.narrow, v["v2"], v["v0"], OP_SUB, "m2")
-        m2b = pass_(
-            self.narrow, m2, [x << 4 for x in v["vinf"]], OP_SUB, "m2b"
-        )
+        m1 = pass_(narrow, v["v1"], v["v0"], OP_SUB, "m1")
+        w1 = pass_(narrow, m1, v["vinf"], OP_SUB, "w1")
+        m2 = pass_(narrow, v["v2"], v["v0"], OP_SUB, "m2")
+        m2b = pass_(narrow, m2, [x << 4 for x in v["vinf"]], OP_SUB, "m2b")
         w2 = [x >> 1 for x in m2b]          # exact: m2b = 2c1+4c2+8c3
-        m4 = pass_(self.narrow, v["v4"], v["v0"], OP_SUB, "m4")
-        m4b = pass_(
-            self.narrow, m4, [x << 8 for x in v["vinf"]], OP_SUB, "m4b"
-        )
+        m4 = pass_(narrow, v["v4"], v["v0"], OP_SUB, "m4")
+        m4b = pass_(narrow, m4, [x << 8 for x in v["vinf"]], OP_SUB, "m4b")
         w4 = [x >> 2 for x in m4b]          # exact: m4b = 4c1+16c2+64c3
 
         # t1 = c2 + 3c3, t2 = c2 + 6c3, t3 = 3c3.
-        t1 = pass_(self.narrow, w2, w1, OP_SUB, "t1")
-        t2r = pass_(self.narrow, w4, w2, OP_SUB, "t2")
+        t1 = pass_(narrow, w2, w1, OP_SUB, "t1")
+        t2r = pass_(narrow, w4, w2, OP_SUB, "t2")
         t2 = [x >> 1 for x in t2r]          # exact: t2r = 2c2 + 12c3
-        t3 = pass_(self.narrow, t2, t1, OP_SUB, "t3")
+        t3 = pass_(narrow, t2, t1, OP_SUB, "t3")
 
         # c3 = t3 / 3 via the two-adic inverse: multiply by
         # sum(4^i, i < K) with repeated doubling, then negate mod 2^w.
@@ -663,24 +453,24 @@ class InterpolationStage:
         for j in range(div3_doublings(self.iw)):
             shift = 2 << j
             acc = pass_(
-                self.narrow,
+                narrow,
                 [x & wmask for x in acc],
                 [(x << shift) & wmask for x in acc],
                 OP_ADD,
                 f"div3.{j}",
             )
         neg = pass_(
-            self.narrow, [wmask] * len(acc), [x & wmask for x in acc],
+            narrow, [wmask] * len(acc), [x & wmask for x in acc],
             OP_SUB, "div3.neg",
         )
-        c3p = pass_(self.narrow, neg, [1] * len(neg), OP_ADD, "div3.inc")
+        c3p = pass_(narrow, neg, [1] * len(neg), OP_ADD, "div3.inc")
         c3 = [x & wmask for x in c3p]
 
         # c2 = t1 - 3c3; c1 = w1 - (c2 + c3).
-        h = pass_(self.narrow, c3, [x << 1 for x in c3], OP_ADD, "h")
-        c2 = pass_(self.narrow, t1, h, OP_SUB, "c2")
-        g = pass_(self.narrow, c2, c3, OP_ADD, "g")
-        c1 = pass_(self.narrow, w1, g, OP_SUB, "c1")
+        h = pass_(narrow, c3, [x << 1 for x in c3], OP_ADD, "h")
+        c2 = pass_(narrow, t1, h, OP_SUB, "c2")
+        g = pass_(narrow, c2, c3, OP_ADD, "g")
+        c1 = pass_(narrow, w1, g, OP_SUB, "c1")
 
         # Recombination on the wide adder; the low cb bits of v0 pass
         # through untouched (LSB pass-through, Karatsuba-style).
@@ -717,73 +507,19 @@ class InterpolationStage:
             + 1
         )
 
-    @property
-    def area_cells(self) -> int:
-        return self.narrow.array.cells + self.wide.array.cells
-
-    @property
-    def array(self) -> CrossbarArray:
-        """Primary (narrow) crossbar — fault-injection entry point."""
-        return self.narrow.array
-
-    @property
-    def executor(self) -> MagicExecutor:
-        return self.narrow.executor
-
-    @property
-    def fault_hook(self):
-        return self.narrow.executor.fault_hook
-
-    @fault_hook.setter
-    def fault_hook(self, hook) -> None:
-        self.narrow.executor.fault_hook = hook
-        self.wide.executor.fault_hook = hook
-
-    def diagnose_and_repair(self) -> List[int]:
-        return self.narrow.diagnose_and_repair() + self.wide.diagnose_and_repair()
-
-    def max_writes(self) -> int:
-        return max(
-            self.narrow.array.max_writes(), self.wide.array.max_writes()
-        )
-
-    def optimizer_stats(self) -> Dict[str, object]:
-        if not self.optimize:
-            return {"enabled": False}
-        from repro.magic.passes import summarize_reports
-
-        return summarize_reports(
-            [
-                self.narrow.optimizer_report(OP_ADD),
-                self.narrow.optimizer_report(OP_SUB),
-                self.wide.optimizer_report(OP_ADD),
-            ]
-        )
-
 
 # ----------------------------------------------------------------------
 # Controller
 # ----------------------------------------------------------------------
-class Toom3Controller:
+class Toom3Controller(StagedController):
     """Drives multiplications through the three Toom-3 stages.
 
-    Exposes the same surface as
-    :class:`repro.karatsuba.controller.KaratsubaController` — job
-    records, stage latencies, wear/energy/reliability accounting — so
+    Shares the :class:`~repro.karatsuba.controller.StagedController`
+    surface with the Karatsuba controller, so
     :class:`repro.karatsuba.pipeline.KaratsubaPipeline`'s timing
     algebra, the bank dispatcher and the degrade ladder drive it
     unchanged.
     """
-
-    #: Pipeline-slot labels (see :class:`PipelineTiming.stage_names`).
-    stage_names: Tuple[str, str, str] = ("evaluate", "pointwise", "interpolate")
-    #: Controller attributes owning the stage objects, slot for slot
-    #: (service compile-cache accounting walks these).
-    stage_attr_names: Tuple[str, str, str] = (
-        "evaluate",
-        "pointwise",
-        "interpolate",
-    )
 
     def __init__(
         self,
@@ -796,9 +532,6 @@ class Toom3Controller:
         backend: object = "bitplane",
     ):
         _check_width(n_bits)
-        self.n_bits = n_bits
-        self.optimize = optimize
-        self.backend = backend
         self.evaluate = EvaluationStage(
             n_bits,
             device=device,
@@ -818,46 +551,35 @@ class Toom3Controller:
             optimize=optimize,
             backend=backend,
         )
-        self.jobs = 0
+        super().__init__(
+            n_bits,
+            optimize,
+            backend,
+            (
+                ("evaluate", self.evaluate),
+                ("pointwise", self.pointwise),
+                ("interpolate", self.interpolate),
+            ),
+        )
 
     # ------------------------------------------------------------------
-    def run_job(self, a: int, b: int) -> JobRecord:
-        return self.run_jobs_batch([(a, b)])[0]
-
     def run_jobs_batch(
         self, pairs: Iterable[Tuple[int, int]]
     ) -> List[JobRecord]:
-        pairs = list(pairs)
+        pairs = self._check_operands(pairs)
         if not pairs:
             return []
-        for a, b in pairs:
-            if a < 0 or b < 0:
-                raise DesignError("operands must be non-negative")
-            if a >> self.n_bits or b >> self.n_bits:
-                raise DesignError(
-                    f"operands must fit in {self.n_bits} bits"
-                )
         cb = chunk_bits(self.n_bits)
         chunk_jobs = [
             (split3(a, cb), split3(b, cb)) for a, b in pairs
         ]
-        tracer = _telemetry.active()
-        if tracer is None:
+        jobs = len(pairs)
+        with self._stage_span("evaluate", self.evaluate, jobs):
             ev = self.evaluate.process_batch(chunk_jobs)
+        with self._stage_span("pointwise", self.pointwise, jobs):
             pw = self.pointwise.process_batch([r.values for r in ev])
+        with self._stage_span("interpolate", self.interpolate, jobs):
             it = self.interpolate.process_batch([r.products for r in pw])
-        else:
-            jobs = len(pairs)
-            with self._stage_span(tracer, "evaluate", self.evaluate, jobs):
-                ev = self.evaluate.process_batch(chunk_jobs)
-            with self._stage_span(tracer, "pointwise", self.pointwise, jobs):
-                pw = self.pointwise.process_batch([r.values for r in ev])
-            with self._stage_span(
-                tracer, "interpolate", self.interpolate, jobs
-            ):
-                it = self.interpolate.process_batch(
-                    [r.products for r in pw]
-                )
         # End-to-end ABFT closure: the assembled product must agree
         # with the operands' residues.
         checker = self.interpolate.checker
@@ -865,103 +587,4 @@ class Toom3Controller:
             checker.check_product(
                 rec.product, checker.res(a), checker.res(b), "product"
             )
-        self.jobs += len(pairs)
-        return [
-            JobRecord(
-                a=a,
-                b=b,
-                product=it[i].product,
-                precompute_cycles=ev[i].cycles,
-                multiply_cycles=pw[i].cycles,
-                postcompute_cycles=it[i].cycles,
-            )
-            for i, (a, b) in enumerate(pairs)
-        ]
-
-    # ------------------------------------------------------------------
-    @contextmanager
-    def _stage_span(self, tracer, name: str, stage, jobs: int):
-        array = getattr(stage, "array", None)
-        energy_before = float(array.energy_fj) if array is not None else None
-        nor_before = stage.clock.by_category.get("nor", 0)
-        with tracer.span(
-            f"stage.{name}", clock=stage.clock, width=self.n_bits, jobs=jobs
-        ) as span:
-            yield
-            span.set(nor=stage.clock.by_category.get("nor", 0) - nor_before)
-            if energy_before is not None:
-                span.set(energy_fj=float(array.energy_fj) - energy_before)
-
-    # ------------------------------------------------------------------
-    def stage_latencies(self) -> Tuple[int, int, int]:
-        return (
-            self.evaluate.latency_cc(),
-            self.pointwise.latency_cc(),
-            self.interpolate.latency_cc(),
-        )
-
-    @property
-    def area_cells(self) -> int:
-        return (
-            self.evaluate.area_cells
-            + self.pointwise.area_cells
-            + self.interpolate.area_cells
-        )
-
-    def max_writes(self) -> int:
-        return max(
-            self.evaluate.max_writes(),
-            self.pointwise.max_writes(),
-            self.interpolate.max_writes(),
-        )
-
-    def total_energy_fj(self) -> float:
-        return float(
-            self.evaluate.array.energy_fj
-            + self.interpolate.narrow.array.energy_fj
-            + self.interpolate.wide.array.energy_fj
-        )
-
-    # -- reliability ---------------------------------------------------
-    @property
-    def fault_hook(self):
-        return self.evaluate.fault_hook
-
-    @fault_hook.setter
-    def fault_hook(self, hook) -> None:
-        self.evaluate.fault_hook = hook
-        self.interpolate.fault_hook = hook
-
-    def diagnose_and_repair(self) -> dict:
-        report = {}
-        for name, stage in (
-            ("evaluate", self.evaluate),
-            ("interpolate", self.interpolate),
-        ):
-            remapped = stage.diagnose_and_repair()
-            if remapped:
-                report[name] = remapped
-        return report
-
-    def spare_rows_free(self) -> int:
-        return (
-            self.evaluate.array.spare_rows_free
-            + self.interpolate.narrow.array.spare_rows_free
-            + self.interpolate.wide.array.spare_rows_free
-        )
-
-    def optimizer_stats(self) -> dict:
-        if not self.optimize:
-            return {"enabled": False}
-        return {
-            "enabled": True,
-            "evaluate": self.evaluate.optimizer_stats(),
-            "interpolate": self.interpolate.optimizer_stats(),
-        }
-
-    def residue_stats(self) -> List[dict]:
-        return [
-            self.evaluate.checker.stats(),
-            self.pointwise.checker.stats(),
-            self.interpolate.checker.stats(),
-        ]
+        return self._records(pairs, ev, pw, it)

@@ -585,6 +585,11 @@ class MultiplicationService:
     ) -> str:
         """Pin a stuck-at cell in one way's stage subarray.
 
+        *stage* is a crossbar label of the way's controller (see
+        :meth:`~repro.karatsuba.controller.StagedController.crossbars`):
+        a slot name such as ``"evaluate"``, or ``"interpolate.wide"``
+        for Toom-3's recombination adder.
+
         Returns the way id so callers can assert on its recovery.  The
         default target (precompute result row 8, column 0) corrupts
         chunk sums: ``sa1`` trips the stage's residue self-check,
@@ -594,8 +599,8 @@ class MultiplicationService:
         place; quarantine only when spares run out).
         """
         way = self.dispatcher.pool(n_bits)[way_index]
-        array = getattr(way.pipeline.controller, stage).array
-        inject(array, [StuckAtFault(row=row, col=col, kind=kind)])
+        unit = dict(way.pipeline.controller.crossbars())[stage]
+        inject(unit.array, [StuckAtFault(row=row, col=col, kind=kind)])
         return way.way_id
 
     def arm_fault_hook(self, n_bits: int, hook, way_index: int = 0) -> str:
@@ -615,19 +620,9 @@ class MultiplicationService:
     def _compile_cache_totals(self) -> Dict[str, int]:
         totals = {"hits": 0, "misses": 0, "evictions": 0}
         for way in self.dispatcher.all_ways():
-            controller = way.pipeline.controller
-            stage_names = getattr(
-                controller,
-                "stage_attr_names",
-                ("precompute", "multiply_stage", "postcompute"),
-            )
-            for stage_name in stage_names:
-                executor = getattr(
-                    getattr(controller, stage_name, None), "executor", None
-                )
-                if executor is None:
-                    continue
-                for key, value in executor.compile_cache_stats().as_dict().items():
+            for _, unit in way.pipeline.controller.crossbars():
+                stats = unit.executor.compile_cache_stats().as_dict()
+                for key, value in stats.items():
                     totals[key] += value
         return totals
 

@@ -16,7 +16,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.arith.koggestone import standalone_adder
+from repro.arith.koggestone import KoggeStoneUnit, standalone_adder
 from repro.crossbar import BatchedCrossbarArray, CrossbarArray, DeviceModel
 from repro.karatsuba.pipeline import KaratsubaPipeline
 from repro.magic import (
@@ -305,21 +305,36 @@ class TestBatchedDifferential:
 
 
 # ----------------------------------------------------------------------
-# Batched Kogge-Stone helper
+# Batched Kogge-Stone unit
 # ----------------------------------------------------------------------
+def scalar_adder_runs(pairs, op="add"):
+    """The scalar oracle of one unit pass: the standalone adder run
+    once per pair, in order, on a single array."""
+    adder, executor = standalone_adder(8)
+    results = [
+        adder.run(executor, x, y, op=op, first_use=index == 0)
+        for index, (x, y) in enumerate(pairs)
+    ]
+    return results, executor
+
+
 class TestRunBatchAdder:
     def test_run_batch_matches_scalar_runs(self):
         rng = random.Random(11)
         pairs = [(rng.randrange(256), rng.randrange(256)) for _ in range(6)]
-        adder, executor = standalone_adder(8)
-        results = adder.run_batch(executor, pairs, first_use=True)
-        assert results == [x + y for x, y in pairs]
-        assert executor.clock.cycles == adder.latency_cc()
+        unit = KoggeStoneUnit(8, spare_rows=0)
+        results = unit.run_pass(pairs, "add")
+        expected, executor = scalar_adder_runs(pairs)
+        assert results == expected == [x + y for x, y in pairs]
+        # One lock-step pass: each lane folds in as one sequential reuse.
+        assert unit.pass_cc("add") == unit.adder.latency_cc()
+        assert np.array_equal(unit.array.writes, executor.array.writes)
+        assert unit.array.energy_fj == executor.array.energy_fj
 
     def test_run_batch_subtraction(self):
         pairs = [(200, 13), (55, 55), (9, 0)]
-        adder, executor = standalone_adder(8)
-        results = adder.run_batch(executor, pairs, op="sub", first_use=True)
+        unit = KoggeStoneUnit(8)
+        results = unit.run_pass(pairs, "sub")
         assert results == [x - y for x, y in pairs]
 
 

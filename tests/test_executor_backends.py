@@ -16,7 +16,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.arith.koggestone import standalone_adder
+from repro.arith.koggestone import KoggeStoneUnit
 from repro.crossbar import CrossbarArray, WordPackedCrossbarArray
 from repro.crossbar.faults import TransientFaultInjector, TransientFaultModel
 from repro.karatsuba.pipeline import KaratsubaPipeline
@@ -35,7 +35,12 @@ from repro.sim.clock import Clock
 from repro.sim.exceptions import MagicProtocolError, ProgramError
 from repro.telemetry import spans
 
-from tests.test_batched_executor import ROWS, COLS, _random_program
+from tests.test_batched_executor import (
+    ROWS,
+    COLS,
+    _random_program,
+    scalar_adder_runs,
+)
 
 ALL_BACKENDS = list(BACKEND_NAMES)
 SIMD_BACKENDS = ["bitplane", "word"]
@@ -410,12 +415,12 @@ class TestPipelineBackends:
     def test_run_batch_adder_backend(self, backend):
         rng = random.Random(17)
         pairs = [(rng.randrange(256), rng.randrange(256)) for _ in range(5)]
-        adder, executor = standalone_adder(8)
-        results = adder.run_batch(
-            executor, pairs, first_use=True, backend=backend
-        )
+        unit = KoggeStoneUnit(8, spare_rows=0, backend=backend)
+        results = unit.run_pass(pairs, "add")
         assert results == [x + y for x, y in pairs]
-        assert executor.clock.cycles == adder.latency_cc()
+        _, executor = scalar_adder_runs(pairs)
+        assert np.array_equal(unit.array.writes, executor.array.writes)
+        assert unit.array.energy_fj == executor.array.energy_fj
 
     def test_unknown_stage_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown executor backend"):
