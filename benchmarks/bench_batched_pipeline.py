@@ -1,7 +1,7 @@
 """Benchmark: batched SIMD executor vs sequential scalar execution.
 
 The batched engines exist for one reason — to make the simulator's hot
-path keep up with the row-parallel hardware it models.  Two perf-smoke
+path keep up with the row-parallel hardware it models.  Three perf-smoke
 checks live here:
 
 * ``test_batched_run_stream_speedup`` replays the acceptance workload
@@ -16,6 +16,11 @@ checks live here:
   (not ``run_stream`` wall clock) because program compilation and the
   closed-form multiply stage are backend-independent and would dilute
   the comparison.
+* ``test_word_backend_lane_light`` replays the n = 384 postcompute
+  mega-program over 5 lanes — the sparse batches a mixed-width service
+  flushes — on the word backend and on the per-lane scalar oracle, and
+  asserts the word backend is at least 40x faster with bit-identical
+  per-lane results.  An in-run ratio, so host speed cancels out.
 
 Runs under pytest (``pytest benchmarks/bench_batched_pipeline.py``)
 and as a script (``python benchmarks/bench_batched_pipeline.py``),
@@ -44,13 +49,18 @@ BATCH_SIZE = 32
 #: Required advantage of the batched path over job-by-job execution.
 MIN_SPEEDUP = 8.0
 
-#: Lanes for the backend shoot-out — one full uint64 word per packed
-#: column bit, the word backend's sweet spot and the service default.
+#: Lanes for the backend shoot-out: a lane-full batch.
 BACKEND_LANES = 64
 
 #: Required advantage of the word-packed replay over the bit-plane
 #: replay on the 64-lane n = 256 stage mega-programs.
 MIN_BACKEND_SPEEDUP = 4.0
+
+#: Lane-light floor: the widest postcompute mega-program at the lane
+#: count of a sparse mixed-width batch, word backend vs scalar oracle.
+LANE_LIGHT_BITS = 384
+LANE_LIGHT_LANES = 5
+MIN_LANE_LIGHT_SPEEDUP = 40.0
 
 #: Timing repetitions per backend; best-of is reported so scheduler
 #: noise cannot fail the floor.
@@ -102,6 +112,19 @@ def run_bench():
     return speedup, table
 
 
+def _mega_workload(stage, lanes):
+    """A stage's compiled mega-program with *lanes* random binding sets."""
+    program = stage._mega_program()[0]
+    compiled = stage.executor.compile(program)
+    rng = random.Random(0xB0BA)
+    widths = dict(compiled.write_specs)
+    bindings = [
+        {name: rng.randrange(2 ** min(widths[name], 60)) for name in widths}
+        for _ in range(lanes)
+    ]
+    return compiled, bindings
+
+
 def _stage_workloads():
     """The n = 256 stage mega-programs with 64 random binding sets."""
     workloads = []
@@ -109,17 +132,7 @@ def _stage_workloads():
         ("precompute", PrecomputeStage(N_BITS)),
         ("postcompute", PostcomputeStage(N_BITS)),
     ):
-        program = stage._mega_program()[0]
-        compiled = stage.executor.compile(program)
-        rng = random.Random(0xB0BA)
-        widths = dict(compiled.write_specs)
-        bindings = [
-            {
-                name: rng.randrange(2 ** min(widths[name], 60))
-                for name in widths
-            }
-            for _ in range(BACKEND_LANES)
-        ]
+        compiled, bindings = _mega_workload(stage, BACKEND_LANES)
         workloads.append((label, stage, compiled, bindings))
     return workloads
 
@@ -129,7 +142,7 @@ def _replay(backend, stage, compiled, bindings):
     best = float("inf")
     results = None
     for _ in range(BACKEND_REPS):
-        array = backend.make_array(stage.array, BACKEND_LANES)
+        array = backend.make_array(stage.array, len(bindings))
         array.reset_to_ones()
         executor = backend.make_executor(array, clock=Clock())
         begin = time.perf_counter()
@@ -180,6 +193,33 @@ def run_backend_bench():
     return speedup, table
 
 
+def run_lane_light_bench():
+    stage = PostcomputeStage(LANE_LIGHT_BITS)
+    compiled, bindings = _mega_workload(stage, LANE_LIGHT_LANES)
+    scalar_s, scalar_results = _replay(
+        get_backend("scalar"), stage, compiled, bindings
+    )
+    word_s, word_results = _replay(get_backend("word"), stage, compiled, bindings)
+    assert scalar_results == word_results, "lane-light results diverge"
+    speedup = scalar_s / word_s
+    table = format_table(
+        ("postcompute replay", "scalar ms", "word ms", "speedup"),
+        [
+            (
+                f"n = {LANE_LIGHT_BITS}, {LANE_LIGHT_LANES} lanes",
+                f"{scalar_s * 1e3:.1f}",
+                f"{word_s * 1e3:.1f}",
+                f"{speedup:.1f}x",
+            )
+        ],
+        title=(
+            f"Word backend lane-light: {speedup:.1f}x over the scalar "
+            f"oracle (floor {MIN_LANE_LIGHT_SPEEDUP:.0f}x)"
+        ),
+    )
+    return speedup, table
+
+
 def _register(name, table):
     try:
         from benchmarks.conftest import register_report
@@ -207,11 +247,21 @@ def test_word_backend_speedup():
     )
 
 
+def test_word_backend_lane_light():
+    speedup, table = run_lane_light_bench()
+    _register("word-lane-light", table)
+    assert speedup >= MIN_LANE_LIGHT_SPEEDUP, (
+        f"lane-light word replay only {speedup:.2f}x faster than scalar "
+        f"(needs >= {MIN_LANE_LIGHT_SPEEDUP}x)"
+    )
+
+
 if __name__ == "__main__":
     failed = False
     for measured, report, floor, name in (
         (*run_bench(), MIN_SPEEDUP, "batched"),
         (*run_backend_bench(), MIN_BACKEND_SPEEDUP, "word backend"),
+        (*run_lane_light_bench(), MIN_LANE_LIGHT_SPEEDUP, "lane-light word"),
     ):
         print(report)
         if measured < floor:

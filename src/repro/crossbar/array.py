@@ -759,16 +759,16 @@ def _csa_add(planes: list, mask: int) -> None:
 
 
 class WordPackedCrossbarArray:
-    """Batched crossbar lanes packed 64-per-word into big integers.
+    """Batched crossbar lanes packed bit-per-lane into big integers.
 
     The word-packed counterpart of :class:`BatchedCrossbarArray`: each
     physical word line is stored as one Python integer in which bit
     ``col * lane_bits + lane`` holds lane *lane*'s value of column
-    *col*, with ``lane_bits = 64 * ceil(batch / 64)``.  A row-parallel
-    MAGIC NOR over the whole batch is then a handful of bitwise integer
-    operations instead of a numpy pass over a byte-per-bit tensor —
-    the ~64x storage-density headroom the bit-plane layout leaves on
-    the table.
+    *col*, with ``lane_bits = 8 * ceil(batch / 8)`` — byte-tight, so a
+    lane-light batch moves only a few padding bits per column.  A
+    row-parallel MAGIC NOR over the whole batch is then a handful of
+    bitwise integer operations instead of a numpy pass over a
+    byte-per-bit tensor.
 
     Accounting matches :class:`BatchedCrossbarArray` per lane exactly,
     but is *deferred* so the hot loop stays in integer land:
@@ -781,14 +781,16 @@ class WordPackedCrossbarArray:
       ``(phys_rows, cols)`` per-lane counters when :attr:`writes` is
       read.
 
-    Lanes beyond the real batch (``batch`` is rarely a multiple of 64)
+    Lanes beyond the real batch (``batch`` is rarely a multiple of 8)
     replicate the last real lane everywhere — initial state, operand
     marshalling, fault pinning — so full-word invariants such as the
     strict-MAGIC init check are exactly equivalent to checking the real
     lanes, and the padding never contributes to trimmed accounting.
     """
 
-    LANE_WORD = 64
+    #: Lanes are padded to whole bytes so packed fields marshal through
+    #: ``int.to_bytes`` / ``np.packbits`` without bit shuffling.
+    LANE_ALIGN = 8
 
     def __init__(
         self,
@@ -811,9 +813,9 @@ class WordPackedCrossbarArray:
         self.spare_rows = spare_rows
         self.device = device if device is not None else DeviceModel()
         self.strict_magic = strict_magic
-        self.words = (batch + self.LANE_WORD - 1) // self.LANE_WORD
-        #: Bits reserved per column: one per lane, padded to whole words.
-        self.lane_bits = self.words * self.LANE_WORD
+        #: Bits reserved per column: one per lane, padded to whole bytes.
+        align = self.LANE_ALIGN
+        self.lane_bits = (batch + align - 1) // align * align
         self.row_bits = cols * self.lane_bits
         self._full = (1 << self.row_bits) - 1
         self._lane_block = (1 << self.lane_bits) - 1
@@ -840,7 +842,9 @@ class WordPackedCrossbarArray:
         """Replicate a scalar array's current state into *batch* lanes.
 
         Mirrors :meth:`BatchedCrossbarArray.from_scalar`: counters start
-        at zero, faults and the spare-row remap table carry over.
+        at zero, faults and the spare-row remap table carry over.  A
+        template at the all-ones steady state (every stage replay seeds
+        from it) shares one packed all-ones row instead of packing each.
         """
         out = cls(
             batch,
@@ -850,8 +854,10 @@ class WordPackedCrossbarArray:
             strict_magic=array.strict_magic,
             spare_rows=array.spare_rows,
         )
-        for phys in range(array.rows + array.spare_rows):
-            out._state[phys] = out._pack_uniform(array.state[phys])
+        if array.state.all():
+            out._state = [out._full] * out.phys_rows
+        else:
+            out._state = [out._pack_uniform(word) for word in array.state]
         out._faults = dict(array._faults)
         out._row_map = list(array._row_map)
         out._apply_faults()
@@ -1037,9 +1043,7 @@ class WordPackedCrossbarArray:
         See :meth:`BatchedCrossbarArray.reset_to_ones`: unaccounted
         stage-batch seeding, not a modelled operation.
         """
-        full = self._full
-        for phys in range(len(self._state)):
-            self._state[phys] = full
+        self._state[:] = [self._full] * len(self._state)
 
     # ------------------------------------------------------------------
     # Raw per-row views (fault hooks mutate state without accounting)
@@ -1191,5 +1195,5 @@ class WordPackedCrossbarArray:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"WordPackedCrossbarArray({self.batch}x{self.rows}x{self.cols}, "
-            f"words={self.words})"
+            f"lane_bits={self.lane_bits})"
         )

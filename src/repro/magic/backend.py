@@ -12,7 +12,8 @@ strategies, all accounting-equivalent per lane:
   ``(batch, rows, cols)`` bool tensor (one byte per logical bit).
 * ``word`` — :class:`WordPackedBackend`: the
   :class:`~repro.magic.executor.WordPackedMagicExecutor` fast path
-  packing 64 lanes per machine word into big-integer rows.
+  packing one bit per lane per column into big-integer rows, lanes
+  padded to whole bytes.
 
 A backend is a factory pair: :meth:`ExecutorBackend.make_array` clones
 a scalar template array into a batch-capable container and
@@ -280,7 +281,7 @@ class BitPlaneBackend(ExecutorBackend):
 
 
 class WordPackedBackend(ExecutorBackend):
-    """Big-integer SIMD replay packing 64 lanes per machine word."""
+    """Big-integer SIMD replay, one bit per lane, byte-padded lanes."""
 
     name = "word"
 

@@ -26,6 +26,7 @@ mapping and also attaches its own mapping to the returned stats.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,6 +77,14 @@ def bits_to_int(bits: np.ndarray) -> int:
     )
 
 
+def _check_storable(values: Sequence[int], width: int) -> None:
+    for value in values:
+        if value < 0:
+            raise ValueError("only non-negative integers are storable")
+        if value >> width:
+            raise ValueError(f"value {value} does not fit in {width} bits")
+
+
 def pack_ints(values: Sequence[int], width: int) -> np.ndarray:
     """Stack LSB-first bit vectors of *values* into a ``(len, width)``
     bool matrix (the batched counterpart of :func:`int_to_bits`).
@@ -89,11 +98,7 @@ def pack_ints(values: Sequence[int], width: int) -> np.ndarray:
     if width < 0:
         raise ValueError(f"width must be non-negative, got {width}")
     values = list(values)
-    for value in values:
-        if value < 0:
-            raise ValueError("only non-negative integers are storable")
-        if value >> width:
-            raise ValueError(f"value {value} does not fit in {width} bits")
+    _check_storable(values, width)
     if not values or width == 0:
         return np.zeros((len(values), width), dtype=bool)
     nbytes = (width + 7) // 8
@@ -151,6 +156,10 @@ class CompiledProgram:
         #: Unique (name, width) pairs consumed by WRITE ops.
         self.write_specs: List[Tuple[str, int]] = []
         self.steps: List[tuple] = []
+        #: (start, stop) -> the column mask its steps share.
+        self.window_masks: Dict[Tuple[int, int], np.ndarray] = {}
+        #: Word-backend lowering, built on first word-packed replay.
+        self._word_lowered = None
         self._compile(program)
 
     # ------------------------------------------------------------------
@@ -162,13 +171,22 @@ class CompiledProgram:
             raise ProgramError(
                 f"column range {cols} outside array width {self.cols}"
             )
+        return self._window_mask(start, stop)
+
+    def _window_mask(self, start: int, stop: int) -> Optional[np.ndarray]:
+        """Read-only column mask of ``[start, stop)``, shared by every op
+        on that window."""
         if start == 0 and stop == self.cols:
             # Full-width window: lower to the unmasked fast path (a
             # full-ones mask selects the same cells, so accounting is
             # unchanged).
             return None
-        mask = np.zeros(self.cols, dtype=bool)
-        mask[start:stop] = True
+        mask = self.window_masks.get((start, stop))
+        if mask is None:
+            mask = np.zeros(self.cols, dtype=bool)
+            mask[start:stop] = True
+            mask.flags.writeable = False
+            self.window_masks[(start, stop)] = mask
         return mask
 
     def _field(self, col_offset: int, width: Optional[int]) -> slice:
@@ -228,11 +246,7 @@ class CompiledProgram:
                 )
             elif isinstance(op, Write):
                 field = self._field(op.col_offset, op.width)
-                if field.start == 0 and field.stop == self.cols:
-                    mask = None
-                else:
-                    mask = np.zeros(self.cols, dtype=bool)
-                    mask[field] = True
+                mask = self._window_mask(field.start, field.stop)
                 spec = (op.name, field.stop - field.start)
                 specs_seen.setdefault(spec)
                 self.steps.append((_WRITE, op.row, field, mask, spec))
@@ -780,143 +794,170 @@ class BatchedMagicExecutor:
 class _WordLoweredProgram:
     """A :class:`CompiledProgram` re-lowered to packed-integer steps.
 
-    The lowering converts every column mask and field slice into the
-    big-integer bit masks of one :class:`WordPackedCrossbarArray`
-    geometry, and precomputes the program's data-independent accounting:
-    the per-lane pulse-cell counts (set/reset/read) behind the constant
-    part of the energy model, and the write-pulse *recipe* from which a
-    per-row-map ``(phys_rows, cols)`` write-counter delta is
-    materialised once and replayed per batch.  Cached on the compiled
-    program keyed by lane width, so stage mega-programs lower once for
-    the lifetime of the stage.
+    One lowering serves every lane width.  Steps name each column
+    window or field by an index into :attr:`windows`, the program's
+    distinct ``(start, stop)`` column ranges; :meth:`masks` expands
+    that small table into the big-integer masks of one lane width, once
+    per width.  Steps address physical rows, resolved and cached per
+    row map by :meth:`resolve` together with the write-counter delta.
+
+    The lowering also precomputes the program's data-independent
+    accounting: the per-lane pulse-cell counts (set/reset/read) behind
+    the constant part of the energy model, and the write-pulse recipe
+    from which a per-row-map ``(phys_rows, cols)`` write-counter delta
+    is materialised.  Cached on the compiled program, so stage
+    mega-programs lower once for the lifetime of the stage.
+
+    Step layouts (logical rows kept where fault hooks and errors name
+    them):
+
+    * ``(_PACK, gang)`` with gang members
+      ``(first_in, other_ins, out_phys, window, out_row)``; a lone
+      NOR/NOT is a one-gate gang;
+    * ``(_INIT, phys_rows, window)``;
+    * ``(_WRITE, phys, operand, window, row)`` — *operand* indexes
+      :attr:`CompiledProgram.write_specs`;
+    * ``(_READ, phys, window, width, name, row)``;
+    * ``(_SHIFT, src_phys, dst_phys, offset, window, fill_window,
+      init_phys, dst_row)`` — *fill_window* is ``None`` when the
+      shift fills with zeros.
     """
 
     __slots__ = (
-        "steps",
+        "windows",
+        "np_masks",
         "set_cells",
         "reset_cells",
         "read_cells",
-        "writes_recipe",
-        "_writes_deltas",
+        "_logical",
+        "_writes_recipe",
+        "_masks",
+        "_resolved",
     )
 
-    def __init__(self, compiled: CompiledProgram, lane_bits: int):
+    def __init__(self, compiled: CompiledProgram):
         cols = compiled.cols
-        lane_block = (1 << lane_bits) - 1
-        full = (1 << (cols * lane_bits)) - 1
+        index: Dict[Tuple[int, int], int] = {}
 
-        def mask_int(mask: Optional[np.ndarray]) -> int:
-            if mask is None:
-                return full
-            out = 0
-            for col in np.nonzero(mask)[0]:
-                out |= lane_block << (int(col) * lane_bits)
-            return out
+        def window(start: int, stop: int) -> int:
+            key = (start, stop)
+            found = index.get(key)
+            if found is None:
+                found = index[key] = len(index)
+            return found
 
-        self.steps: List[tuple] = []
+        by_mask = {
+            id(mask): window(*key) for key, mask in compiled.window_masks.items()
+        }
+
+        def cols_window(mask: Optional[np.ndarray]) -> int:
+            return window(0, cols) if mask is None else by_mask[id(mask)]
+
+        specs = {spec: k for k, spec in enumerate(compiled.write_specs)}
+        steps: List[tuple] = []
         self.set_cells = 0
         self.reset_cells = 0
         self.read_cells = 0
-        #: (logical row, column mask or None) per write pulse.
-        self.writes_recipe: List[Tuple[int, Optional[np.ndarray]]] = []
-        #: (row_map, phys_rows) -> materialised (phys_rows, cols) delta.
-        self._writes_deltas: Dict[tuple, np.ndarray] = {}
+        #: Write pulses per (logical row, window).
+        recipe: Counter = Counter()
 
         for step in compiled.steps:
             code = step[0]
-            if code == _NOR:
-                _, in_rows, out_row, mask = step
-                if out_row in in_rows:
-                    # Row maps are injective, so logical aliasing is
-                    # exactly physical aliasing; reject it once here
-                    # instead of on every replay.
-                    raise MagicProtocolError(
-                        f"output row {out_row} cannot also be a NOR input"
-                    )
-                m = mask_int(mask)
-                self.steps.append(
-                    (_NOR, tuple(in_rows), out_row, m, full ^ m, mask)
+            if code == _NOR or code == _PACK:
+                members = (
+                    ((step[1], step[2], step[3]),) if code == _NOR else step[1]
                 )
-                self.writes_recipe.append((out_row, mask))
-            elif code == _PACK:
                 gang = []
-                for in_rows, out_row, mask in step[1]:
+                for in_rows, out_row, mask in members:
                     if out_row in in_rows:
+                        # Row maps are injective, so logical aliasing is
+                        # exactly physical aliasing; reject it once here
+                        # instead of on every replay.
                         raise MagicProtocolError(
                             f"output row {out_row} cannot also be a NOR "
                             "input"
                         )
-                    m = mask_int(mask)
+                    w = cols_window(mask)
                     gang.append(
-                        (tuple(in_rows), out_row, m, full ^ m, mask)
+                        (in_rows[0], tuple(in_rows[1:]), out_row, w, out_row)
                     )
-                    self.writes_recipe.append((out_row, mask))
-                self.steps.append((_PACK, tuple(gang)))
+                    recipe[out_row, w] += 1
+                steps.append((_PACK, tuple(gang)))
             elif code == _INIT:
                 _, rows, mask = step
+                w = cols_window(mask)
                 cells = cols if mask is None else int(mask.sum())
                 self.set_cells += cells * len(rows)
-                for row in rows:
-                    self.writes_recipe.append((row, mask))
-                self.steps.append((_INIT, rows, mask_int(mask), mask))
+                recipe.update((row, w) for row in rows)
+                steps.append((_INIT, rows, w))
             elif code == _WRITE:
-                _, row, field, mask, spec = step
-                width = field.stop - field.start
-                shift = field.start * lane_bits
-                field_block = ((1 << (width * lane_bits)) - 1) << shift
-                # A full-row field lowers its mask to None; either way
-                # the driven cells are exactly the field's.
-                self.reset_cells += width
-                self.writes_recipe.append((row, mask))
-                self.steps.append(
-                    (_WRITE, row, spec, shift, full ^ field_block, mask)
-                )
+                _, row, field, _mask, spec = step
+                w = window(field.start, field.stop)
+                self.reset_cells += field.stop - field.start
+                recipe[row, w] += 1
+                steps.append((_WRITE, row, specs[spec], w, row))
             elif code == _READ:
                 _, row, field, name = step
                 # The batched read senses the full row (unmasked).
                 self.read_cells += cols
-                self.steps.append(
-                    (_READ, row, field.start, field.stop - field.start, name)
-                )
-            elif code == _SHIFT:
-                _, src, dst, offset, fill, window, mask, also_init = step
-                span = window.stop - window.start
-                win_shift = window.start * lane_bits
-                window_block = (1 << (span * lane_bits)) - 1
-                offset_bits = offset * lane_bits
-                if not fill:
-                    fill_mask = 0
-                elif offset >= 0:
-                    fill_mask = (1 << (min(offset, span) * lane_bits)) - 1
-                else:
-                    keep = max(span + offset, 0)
-                    fill_mask = window_block ^ ((1 << (keep * lane_bits)) - 1)
-                # One sensed read of the window, one masked write-back,
-                # plus a piggy-backed INIT of each listed row.
-                self.read_cells += span
-                self.reset_cells += span
-                self.set_cells += span * len(also_init)
-                self.writes_recipe.append((dst, mask))
-                for row in also_init:
-                    self.writes_recipe.append((row, mask))
-                window_mask = window_block << win_shift
-                self.steps.append(
+                steps.append(
                     (
-                        _SHIFT,
-                        src,
-                        dst,
-                        offset_bits,
-                        win_shift,
-                        window_block,
-                        window_mask,
-                        full ^ window_mask,
-                        fill_mask,
-                        mask,
-                        also_init,
+                        _READ,
+                        row,
+                        window(field.start, field.stop),
+                        field.stop - field.start,
+                        name,
+                        row,
                     )
                 )
+            elif code == _SHIFT:
+                _, src, dst, offset, fill, span, _mask, also_init = step
+                start, stop = span.start, span.stop
+                filled = min(abs(offset), stop - start)
+                if not fill or not filled:
+                    fill_window = None
+                elif offset >= 0:
+                    fill_window = window(start, start + filled)
+                else:
+                    fill_window = window(stop - filled, stop)
+                w = window(start, stop)
+                # One sensed read of the window, one masked write-back,
+                # plus a piggy-backed INIT of each listed row.
+                self.read_cells += stop - start
+                self.reset_cells += stop - start
+                self.set_cells += (stop - start) * len(also_init)
+                recipe[dst, w] += 1
+                recipe.update((row, w) for row in also_init)
+                steps.append(
+                    (_SHIFT, src, dst, offset, w, fill_window, also_init, dst)
+                )
             else:  # _NOP
-                self.steps.append((_NOP,))
+                steps.append((_NOP,))
+
+        #: Distinct (start, stop) column windows, by index.
+        self.windows: List[Tuple[int, int]] = list(index)
+        #: Per-window column mask handed to fault hooks (None = full row).
+        self.np_masks: List[Optional[np.ndarray]] = [
+            compiled._window_mask(start, stop) for start, stop in self.windows
+        ]
+        self._logical = steps
+        self._writes_recipe = recipe
+        #: lane_bits -> (window masks, their complements).
+        self._masks: Dict[int, Tuple[List[int], List[int]]] = {}
+        #: (row_map, phys_rows) -> (physical steps, write-counter delta).
+        self._resolved: Dict[tuple, Tuple[List[tuple], np.ndarray]] = {}
+
+    def masks(self, lane_bits: int, cols: int) -> Tuple[List[int], List[int]]:
+        """Packed masks of every window at *lane_bits*, and complements."""
+        table = self._masks.get(lane_bits)
+        if table is None:
+            full = (1 << (cols * lane_bits)) - 1
+            ms = [
+                ((1 << ((stop - start) * lane_bits)) - 1) << (start * lane_bits)
+                for start, stop in self.windows
+            ]
+            table = self._masks[lane_bits] = (ms, [full ^ m for m in ms])
+        return table
 
     def energy_const_fj(self, device) -> float:
         """Data-independent per-lane energy of one replay on *device*."""
@@ -926,26 +967,64 @@ class _WordLoweredProgram:
             + device.e_read_fj * self.read_cells
         )
 
-    def writes_delta(
+    def resolve(
         self, row_map: Sequence[int], phys_rows: int, cols: int
-    ) -> np.ndarray:
-        """Write-counter delta of one replay under *row_map*.
+    ) -> Tuple[List[tuple], np.ndarray]:
+        """Physical-row steps and write-counter delta under *row_map*.
 
-        Pulse placement is data-independent, so the delta is a static
-        property of (program, remap table); it is materialised once per
-        distinct row map and added to the array's counters per batch.
+        Both are static properties of (program, remap table): pulse
+        placement is data-independent, so the delta is materialised
+        once per distinct row map and added to the array's counters per
+        batch.
         """
         key = (tuple(row_map), phys_rows)
-        delta = self._writes_deltas.get(key)
-        if delta is None:
-            delta = np.zeros((phys_rows, cols), dtype=np.int64)
-            for row, mask in self.writes_recipe:
-                phys = row_map[row]
-                if mask is None:
-                    delta[phys] += 1
-                else:
-                    delta[phys][mask] += 1
-            self._writes_deltas[key] = delta
+        entry = self._resolved.get(key)
+        if entry is None:
+            entry = self._resolved[key] = (
+                self._map_rows(row_map),
+                self._writes_delta(row_map, phys_rows, cols),
+            )
+        return entry
+
+    def _map_rows(self, rmap: Sequence[int]) -> List[tuple]:
+        if all(phys == row for row, phys in enumerate(rmap)):
+            return self._logical
+        steps = []
+        for step in self._logical:
+            code = step[0]
+            if code == _PACK:
+                gang = []
+                for first, rest, _, w, out in step[1]:
+                    others = tuple(rmap[r] for r in rest)
+                    gang.append((rmap[first], others, rmap[out], w, out))
+                step = (_PACK, tuple(gang))
+            elif code == _INIT:
+                step = (_INIT, tuple(rmap[r] for r in step[1]), step[2])
+            elif code == _WRITE or code == _READ:
+                step = (code, rmap[step[1]]) + step[2:]
+            elif code == _SHIFT:
+                _, src, dst, offset, w, fill_window, also_init, row = step
+                step = (
+                    _SHIFT,
+                    rmap[src],
+                    rmap[dst],
+                    offset,
+                    w,
+                    fill_window,
+                    tuple(rmap[r] for r in also_init),
+                    row,
+                )
+            steps.append(step)
+        return steps
+
+    def _writes_delta(
+        self, row_map: Sequence[int], phys_rows: int, cols: int
+    ) -> np.ndarray:
+        delta = np.zeros((phys_rows, cols), dtype=np.int64)
+        windows = self.windows
+        for (row, w), pulses in self._writes_recipe.items():
+            start, stop = windows[w]
+            delta[row_map[row], start:stop] += pulses
         return delta
 
 
@@ -953,15 +1032,15 @@ class WordPackedMagicExecutor:
     """Replays compiled programs against a :class:`WordPackedCrossbarArray`.
 
     The word-packed fast path of the batched executor: every physical
-    row is one big integer holding 64 batch lanes per machine word, so
-    a row-parallel NOR over the whole batch is a handful of bitwise
-    integer operations instead of a numpy pass over a byte-per-bit
-    tensor.  Accounting is deferred: data-dependent switching energy is
-    recorded as (coefficient, packed-mask) events popcounted lazily in
-    one vectorised pass, and write counters are applied as one
-    precomputed per-program delta — per-lane results, cycle counts,
-    write counters and energy stay bit-identical to the scalar oracle
-    and the bit-plane path.
+    row is one big integer holding one bit per lane per column (lanes
+    padded to whole bytes), so a row-parallel NOR over the whole batch
+    is a handful of bitwise integer operations instead of a numpy pass
+    over a byte-per-bit tensor.  Accounting is deferred: data-dependent
+    switching energy is summed into carry-save counters of packed masks
+    popcounted lazily in one vectorised pass, and write counters are
+    applied as one precomputed per-program delta — per-lane results,
+    cycle counts, write counters and energy stay bit-identical to the
+    scalar oracle and the bit-plane path.
     """
 
     def __init__(
@@ -986,49 +1065,86 @@ class WordPackedMagicExecutor:
         return self._compile_cache.get(program)
 
     # ------------------------------------------------------------------
-    def _lowered(self, compiled: CompiledProgram) -> _WordLoweredProgram:
-        lane_bits = self.array.lane_bits
-        cache = getattr(compiled, "_word_lowered", None)
-        if cache is None:
-            cache = {}
-            compiled._word_lowered = cache
-        lowered = cache.get(lane_bits)
+    @staticmethod
+    def _lowered(compiled: CompiledProgram) -> _WordLoweredProgram:
+        lowered = compiled._word_lowered
         if lowered is None:
-            lowered = _WordLoweredProgram(compiled, lane_bits)
-            cache[lane_bits] = lowered
+            lowered = compiled._word_lowered = _WordLoweredProgram(compiled)
         return lowered
 
-    def _pack_field(self, values: Sequence[int], width: int) -> int:
-        """Marshal one per-lane operand column-major into a field int.
+    def _pack_operands(
+        self,
+        specs: Sequence[Tuple[str, int]],
+        bindings_list: Sequence[Dict[str, int]],
+    ) -> List[int]:
+        """Marshal every WRITE operand of a replay, in one numpy pass.
 
-        Bit ``i * lane_bits + lane`` of the result is bit *i* of lane's
-        value; padding lanes replicate the last real lane so full-word
-        invariants (strict NOR checks) stay equivalent to per-lane ones.
+        Each lane's operands are concatenated into one integer, the
+        ``(batch, total width)`` bit matrix is transposed column-major
+        at once, and each operand's field int is cut from the packed
+        bytes: bit ``i * lane_bits + lane`` of operand *k* is bit *i*
+        of lane's value.  Padding lanes replicate the last real lane so
+        full-word invariants (strict NOR checks) stay equivalent to
+        per-lane ones.
         """
-        bits = pack_ints(values, width)
-        if width == 0:
-            return 0
+        lanes = [0] * len(bindings_list)
+        total = 0
+        for name, width in specs:
+            try:
+                values = [bindings[name] for bindings in bindings_list]
+            except KeyError:
+                raise ProgramError(
+                    f"WRITE references unbound operand {name!r}"
+                ) from None
+            _check_storable(values, width)
+            lanes = [
+                lane | (value << total) for lane, value in zip(lanes, values)
+            ]
+            total += width
+        if not total:
+            return [0] * len(specs)
         lane_bits = self.array.lane_bits
-        if lane_bits != bits.shape[0]:
-            pad = np.broadcast_to(
-                bits[-1:], (lane_bits - bits.shape[0], width)
-            )
-            bits = np.concatenate([bits, pad], axis=0)
-        raw = np.packbits(
-            np.ascontiguousarray(bits.T).reshape(-1), bitorder="little"
-        )
-        return int.from_bytes(raw.tobytes(), "little")
-
-    def _read_field(self, value: int, width: int) -> List[int]:
-        """Per-lane integers of one packed field (inverse marshalling)."""
-        if width == 0:
-            return [0] * self.array.batch
-        lane_bits = self.array.lane_bits
+        lanes.extend([lanes[-1]] * (lane_bits - len(lanes)))
+        nbytes = (total + 7) // 8
         raw = np.frombuffer(
-            value.to_bytes(width * lane_bits // 8, "little"), dtype=np.uint8
+            b"".join(lane.to_bytes(nbytes, "little") for lane in lanes),
+            dtype=np.uint8,
+        ).reshape(lane_bits, nbytes)
+        bits = np.unpackbits(raw, axis=1, bitorder="little")[:, :total]
+        packed = np.packbits(bits.T, bitorder="little").tobytes()
+        lane_bytes = lane_bits // 8
+        fields = []
+        begin = 0
+        for _, width in specs:
+            end = begin + width * lane_bytes
+            fields.append(int.from_bytes(packed[begin:end], "little"))
+            begin = end
+        return fields
+
+    def _unpack_reads(
+        self, reads: List[Tuple[str, int, int]], results: List[Dict[str, int]]
+    ) -> None:
+        """Store every READ of a replay into the per-lane *results*.
+
+        *reads* holds ``(name, width, field int)`` in program order; the
+        fields are unmarshalled in one numpy pass (the inverse of
+        :meth:`_pack_operands`), later reads of a name overwriting
+        earlier ones as in the scalar executor.
+        """
+        lane_bytes = self.array.lane_bits // 8
+        buf = b"".join(
+            value.to_bytes(width * lane_bytes, "little")
+            for _, width, value in reads
         )
-        bits = np.unpackbits(raw, bitorder="little").reshape(width, lane_bits)
-        return unpack_ints(np.ascontiguousarray(bits[:, : self.array.batch].T))
+        bits = np.unpackbits(
+            np.frombuffer(buf, dtype=np.uint8), bitorder="little"
+        ).reshape(-1, lane_bytes * 8)
+        for lane_results, value in zip(
+            results, unpack_ints(bits[:, : len(results)].T)
+        ):
+            for name, width, _ in reads:
+                lane_results[name] = value & ((1 << width) - 1)
+                value >>= width
 
     # ------------------------------------------------------------------
     def execute(
@@ -1056,155 +1172,125 @@ class WordPackedMagicExecutor:
                 f"got {len(bindings_list)} binding sets for {batch} lanes"
             )
         lowered = self._lowered(compiled)
-        packed: Dict[Tuple[str, int], int] = {}
-        for name, width in compiled.write_specs:
-            try:
-                values = [bindings[name] for bindings in bindings_list]
-            except KeyError:
-                raise ProgramError(
-                    f"WRITE references unbound operand {name!r}"
-                ) from None
-            packed[(name, width)] = self._pack_field(values, width)
+        packed = self._pack_operands(compiled.write_specs, bindings_list)
+        lane_bits = array.lane_bits
+        steps, writes_delta = lowered.resolve(
+            array._row_map, array.phys_rows, array.cols
+        )
+        masks, not_masks = lowered.masks(lane_bits, array.cols)
+        np_masks = lowered.np_masks
+        windows = lowered.windows
 
         energy_before = array.energy_fj.copy()
-        results: List[Dict[str, int]] = [{} for _ in range(batch)]
+        reads: List[Tuple[str, int, int]] = []
         trace_enabled = self.trace.enabled
         hook = self.fault_hook
         device = array.device
         e_reset = device.e_reset_fj
         w_coeff = device.e_set_fj - e_reset
         state = array._state
-        rmap = array._row_map
-        lane_bits = array.lane_bits
-        # Carry-save energy counters; a flush empties these lists in
-        # place, so the bindings stay valid for the whole replay.  One
-        # counter per coefficient (setdefault aliases them if a device
-        # makes the two coefficients collide).
-        acc_add = _csa_add
+        # Carry-save energy counters (plane k holds bit k of each
+        # cell's event count); a flush empties these lists in place, so
+        # the bindings stay valid for the whole replay.  One counter
+        # per coefficient (setdefault aliases them if a device makes
+        # the two coefficients collide).
         reset_planes = array._energy_acc.setdefault(e_reset, [])
         write_planes = array._energy_acc.setdefault(w_coeff, [])
         strict = array.strict_magic
         have_faults = bool(array._faults)
-        for index, step in enumerate(lowered.steps):
+        for index, step in enumerate(steps):
             code = step[0]
-            if code == _NOR:
-                _, in_rows, out_row, m, notm, np_mask = step
-                out_phys = rmap[out_row]
-                out = state[out_phys]
-                any_one = state[rmap[in_rows[0]]]
-                for row in in_rows[1:]:
-                    any_one = any_one | state[rmap[row]]
-                am = any_one & m
-                if strict:
-                    if (out & m) != m:
-                        raise MagicProtocolError(
-                            f"NOR output row {out_row} not initialised to "
-                            "logic one in every lane"
-                        )
-                    # out holds ones across m, so out & notm == out ^ m
-                    # and the RESET event am & out collapses to am.
-                    acc_add(reset_planes, am)
-                    state[out_phys] = (out ^ m) | (m ^ am)
-                else:
-                    acc_add(reset_planes, am & out)
-                    state[out_phys] = (out & notm) | (m ^ am)
-                if have_faults:
-                    array._apply_faults()
-                if hook is not None:
-                    hook.on_nor(array, out_row, np_mask)
-                    have_faults = bool(array._faults)
-            elif code == _PACK:
-                for in_rows, out_row, m, notm, np_mask in step[1]:
-                    out_phys = rmap[out_row]
+            if code == _PACK:
+                for first, rest, out_phys, w, out_row in step[1]:
+                    m = masks[w]
                     out = state[out_phys]
-                    any_one = state[rmap[in_rows[0]]]
-                    for row in in_rows[1:]:
-                        any_one = any_one | state[rmap[row]]
-                    am = any_one & m
+                    any_one = state[first]
+                    for row in rest:
+                        any_one |= state[row]
+                    event = any_one & m
                     if strict:
                         if (out & m) != m:
                             raise MagicProtocolError(
                                 f"NOR output row {out_row} not initialised "
                                 "to logic one in every lane"
                             )
-                        acc_add(reset_planes, am)
-                        state[out_phys] = (out ^ m) | (m ^ am)
+                        # out holds ones across m, so clearing the
+                        # switching cells is one xor, and every one of
+                        # them was a one: the RESET event is `event`.
+                        state[out_phys] = out ^ event
                     else:
-                        acc_add(reset_planes, am & out)
-                        state[out_phys] = (out & notm) | (m ^ am)
+                        state[out_phys] = (out & not_masks[w]) | (m ^ event)
+                        event &= out
+                    # Inline carry-save add of the RESET event mask.
+                    if event:
+                        for k, plane in enumerate(reset_planes):
+                            reset_planes[k] = plane ^ event
+                            event &= plane
+                            if not event:
+                                break
+                        else:
+                            reset_planes.append(event)
                     if have_faults:
                         array._apply_faults()
                     if hook is not None:
-                        hook.on_nor(array, out_row, np_mask)
+                        hook.on_nor(array, out_row, np_masks[w])
                         have_faults = bool(array._faults)
             elif code == _INIT:
-                _, rows, m, np_mask = step
-                for row in rows:
-                    phys = rmap[row]
-                    state[phys] = state[phys] | m
+                m = masks[step[2]]
+                for phys in step[1]:
+                    state[phys] |= m
                 if have_faults:
                     array._apply_faults()
             elif code == _WRITE:
-                _, row, spec, shift, not_field, np_mask = step
-                phys = rmap[row]
+                _, phys, operand, w, row = step
                 pre = array.unpack_row(row) if hook is not None else None
-                value = packed[spec] << shift
-                acc_add(write_planes, value)
-                state[phys] = (state[phys] & not_field) | value
+                value = packed[operand] << (windows[w][0] * lane_bits)
+                _csa_add(write_planes, value)
+                state[phys] = (state[phys] & not_masks[w]) | value
                 if have_faults:
                     array._apply_faults()
                 if hook is not None:
-                    write_mask = np_mask
+                    write_mask = np_masks[w]
                     if write_mask is None:
                         write_mask = np.ones(array.cols, dtype=bool)
                     hook.on_write(array, row, write_mask, pre)
                     have_faults = bool(array._faults)
             elif code == _READ:
-                _, row, start, width, name = step
-                word = (state[rmap[row]] >> (start * lane_bits)) & (
-                    (1 << (width * lane_bits)) - 1
-                )
-                for lane, value in enumerate(self._read_field(word, width)):
-                    results[lane][name] = value
+                _, phys, w, width, name, row = step
+                field = (state[phys] & masks[w]) >> (windows[w][0] * lane_bits)
+                reads.append((name, width, field))
                 if hook is not None:
                     hook.on_read(array, row)
                     have_faults = bool(array._faults)
             elif code == _SHIFT:
-                (
-                    _,
-                    src,
-                    dst,
-                    offset_bits,
-                    win_shift,
-                    window_block,
-                    window_mask,
-                    not_window,
-                    fill_mask,
-                    np_mask,
-                    also_init,
-                ) = step
-                dst_phys = rmap[dst]
-                w = (state[rmap[src]] >> win_shift) & window_block
-                if offset_bits >= 0:
-                    sh = (w << offset_bits) & window_block
+                _, src, dst, offset, w, fill_window, also_init, row = step
+                m = masks[w]
+                if offset >= 0:
+                    shifted = ((state[src] & m) << (offset * lane_bits)) & m
                 else:
-                    sh = w >> -offset_bits
-                sh |= fill_mask
-                pre = array.unpack_row(dst) if hook is not None else None
-                new = (state[dst_phys] & not_window) | (sh << win_shift)
-                acc_add(write_planes, new & window_mask)
-                state[dst_phys] = new
+                    shifted = ((state[src] & m) >> (-offset * lane_bits)) & m
+                if fill_window is not None:
+                    shifted |= masks[fill_window]
+                pre = array.unpack_row(row) if hook is not None else None
+                state[dst] = (state[dst] & not_masks[w]) | shifted
+                if shifted:
+                    for k, plane in enumerate(write_planes):
+                        write_planes[k] = plane ^ shifted
+                        shifted &= plane
+                        if not shifted:
+                            break
+                    else:
+                        write_planes.append(shifted)
                 if have_faults:
                     array._apply_faults()
                 if hook is not None:
-                    write_mask = np_mask
+                    write_mask = np_masks[w]
                     if write_mask is None:
                         write_mask = np.ones(array.cols, dtype=bool)
-                    hook.on_write(array, dst, write_mask, pre)
+                    hook.on_write(array, row, write_mask, pre)
                     have_faults = bool(array._faults)
-                for row in also_init:
-                    phys = rmap[row]
-                    state[phys] = state[phys] | window_mask
+                for phys in also_init:
+                    state[phys] |= m
                 if also_init and have_faults:
                     array._apply_faults()
             # _NOP: nothing to evaluate.
@@ -1213,7 +1299,7 @@ class WordPackedMagicExecutor:
                 self.trace.record(self.clock.cycles, op.opcode, repr(op))
 
         array._energy_const += lowered.energy_const_fj(device)
-        array._writes += lowered.writes_delta(rmap, array.phys_rows, array.cols)
+        array._writes += writes_delta
         begin_cc = self.clock.cycles
         for opcode, cycles in compiled.cycles_by_opcode.items():
             self.clock.tick(cycles, category=opcode)
@@ -1230,6 +1316,9 @@ class WordPackedMagicExecutor:
                 + compiled.stat_counts.get("not_ops", 0),
             )
 
+        results: List[Dict[str, int]] = [{} for _ in range(batch)]
+        if reads:
+            self._unpack_reads(reads, results)
         energy = array.energy_fj - energy_before
         stats_list = []
         for lane in range(batch):

@@ -31,6 +31,8 @@ from repro.magic import (
     pack_ints,
     unpack_ints,
 )
+from repro.magic.ops import Init
+from repro.magic.program import Program
 from repro.sim.clock import Clock
 from repro.sim.exceptions import MagicProtocolError, ProgramError
 from repro.telemetry import spans
@@ -80,10 +82,16 @@ class TestBackendRegistry:
 # ----------------------------------------------------------------------
 # Randomized differential: every backend vs the per-lane scalar oracle
 # ----------------------------------------------------------------------
-def _scalar_oracle(program, bindings):
+def _scalar_oracle(
+    program, bindings, strict_magic=True, spare_rows=0, remap=()
+):
     runs = []
     for lane_bindings in bindings:
-        array = CrossbarArray(ROWS, COLS)
+        array = CrossbarArray(
+            ROWS, COLS, strict_magic=strict_magic, spare_rows=spare_rows
+        )
+        for row in remap:
+            array.remap_row(row)
         executor = MagicExecutor(array, clock=Clock())
         stats = executor.execute(program, lane_bindings)
         runs.append((stats, array))
@@ -91,21 +99,42 @@ def _scalar_oracle(program, bindings):
 
 
 class TestBackendDifferential:
-    # Batch sizes straddle the 64-lane word boundary so the word
-    # backend's multi-word rows and padding lanes are exercised.
+    # Batch sizes straddle the word backend's 8-lane byte boundary (7, 8,
+    # 9) and the 64-lane one, so its padding lanes are exercised.  The
+    # non-strict case drops every INIT, so NOR outputs hold arbitrary
+    # data and only switching cells may be charged RESET energy.
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    @pytest.mark.parametrize("seed,batch", [(0, 3), (1, 64), (2, 65), (3, 1)])
-    def test_random_programs_bit_exact(self, backend, seed, batch):
+    @pytest.mark.parametrize(
+        "seed,batch,strict",
+        [
+            pytest.param(
+                seed,
+                batch,
+                strict,
+                id=f"{seed}-{batch}" + ("" if strict else "-nonstrict"),
+            )
+            for strict in (True, False)
+            for seed, batch in (
+                (0, 3), (1, 64), (2, 65), (3, 1), (4, 7), (5, 8), (6, 9)
+            )
+        ],
+    )
+    def test_random_programs_bit_exact(self, backend, seed, batch, strict):
         rng = random.Random(seed)
         program, writes = _random_program(rng)
+        if not strict:
+            program = Program(
+                [op for op in program.ops if not isinstance(op, Init)],
+                label=program.label,
+            )
         bindings = [
             {name: rng.randrange(2**width) for name, width in writes}
             for _ in range(batch)
         ]
-        oracle = _scalar_oracle(program, bindings)
+        oracle = _scalar_oracle(program, bindings, strict_magic=strict)
 
         resolved = get_backend(backend)
-        template = CrossbarArray(ROWS, COLS)
+        template = CrossbarArray(ROWS, COLS, strict_magic=strict)
         array = resolved.make_array(template, batch)
         executor = resolved.make_executor(array, clock=Clock())
         stats_list = executor.execute(program, bindings)
@@ -143,6 +172,41 @@ class TestBackendDifferential:
         assert [s.results["out"] for s in stats] == [5, 250]
         # The scalar template array stays untouched either way.
         assert array.max_writes() == 0
+
+
+class TestWordLowering:
+    def test_remapped_replay_matches_oracle_on_one_lowering(self):
+        """A replay after ``remap_row`` lands on the spare, and replays
+        at any lane width share the program's single lowering."""
+        rng = random.Random(8)
+        program, writes = _random_program(rng)
+        backend = get_backend("word")
+        template = CrossbarArray(ROWS, COLS, spare_rows=1)
+        compiled = MagicExecutor(template).compile(program)
+        lowerings = []
+        for batch, remap in ((3, ()), (40, (2,))):
+            for row in remap:
+                template.remap_row(row)
+            bindings = [
+                {name: rng.randrange(2**width) for name, width in writes}
+                for _ in range(batch)
+            ]
+            oracle = _scalar_oracle(
+                program, bindings, spare_rows=1, remap=remap
+            )
+            array = backend.make_array(template, batch)
+            stats = backend.make_executor(array).execute(compiled, bindings)
+            for lane, (want, lane_array) in enumerate(oracle):
+                assert stats[lane].results == want.results
+                assert stats[lane].energy_fj == want.energy_fj
+                assert np.array_equal(
+                    array.snapshot(lane), lane_array.snapshot()
+                )
+            assert np.array_equal(array.writes, oracle[0][1].writes)
+            lowerings.append(compiled._word_lowered)
+        assert template.remap_table() == {2: ROWS}
+        assert lowerings[0] is not None
+        assert lowerings[0] is lowerings[1]
 
 
 class TestWordPackedErrors:
