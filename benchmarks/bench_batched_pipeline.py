@@ -21,6 +21,12 @@ checks live here:
   flushes — on the word backend and on the per-lane scalar oracle, and
   asserts the word backend is at least 40x faster with bit-identical
   per-lane results.  An in-run ratio, so host speed cancels out.
+* ``test_multiply_stage_speedup`` runs 32 jobs at n = 64 through
+  ``MultiplicationStage.process_batch`` (one lane-parallel carry-save
+  sweep, wear charged in closed form) and through the test suite's
+  sequential oracle (one row and one pass at a time, per-pass wear),
+  and asserts the stage is at least 4x faster per job with identical
+  products and wear.
 
 Runs under pytest (``pytest benchmarks/bench_batched_pipeline.py``)
 and as a script (``python benchmarks/bench_batched_pipeline.py``),
@@ -33,8 +39,10 @@ from __future__ import annotations
 import random
 import sys
 import time
+from pathlib import Path
 
 from repro.eval.report import format_table
+from repro.karatsuba.multiply import MultiplicationStage
 from repro.karatsuba.pipeline import KaratsubaPipeline
 from repro.karatsuba.postcompute import PostcomputeStage
 from repro.karatsuba.precompute import PrecomputeStage
@@ -61,6 +69,12 @@ MIN_BACKEND_SPEEDUP = 4.0
 LANE_LIGHT_BITS = 384
 LANE_LIGHT_LANES = 5
 MIN_LANE_LIGHT_SPEEDUP = 40.0
+
+#: Multiply-stage floor: one lane-parallel batch vs the sequential
+#: per-row oracle, per job.
+MULTIPLY_BITS = 64
+MULTIPLY_JOBS = 32
+MIN_MULTIPLY_SPEEDUP = 4.0
 
 #: Timing repetitions per backend; best-of is reported so scheduler
 #: noise cannot fail the floor.
@@ -220,6 +234,61 @@ def run_lane_light_bench():
     return speedup, table
 
 
+def _sequential_oracle():
+    """``sequential_pass`` and ``karatsuba_operands`` from the suite."""
+    root = str(Path(__file__).resolve().parents[1])
+    if root not in sys.path:  # script mode
+        sys.path.insert(0, root)
+    from tests.test_rowmul import karatsuba_operands, sequential_pass
+
+    return karatsuba_operands, sequential_pass
+
+
+def run_multiply_bench():
+    karatsuba_operands, sequential_pass = _sequential_oracle()
+    operands = karatsuba_operands(
+        random.Random(0x5EED), MULTIPLY_BITS, MULTIPLY_JOBS
+    )
+    seq_s = bat_s = float("inf")
+    for _ in range(BACKEND_REPS):
+        oracle = MultiplicationStage(MULTIPLY_BITS)
+        begin = time.perf_counter()
+        expected = [sequential_pass(oracle, ops) for ops in operands]
+        seq_s = min(seq_s, time.perf_counter() - begin)
+
+        stage = MultiplicationStage(MULTIPLY_BITS)
+        begin = time.perf_counter()
+        results = stage.process_batch(operands)
+        bat_s = min(bat_s, time.perf_counter() - begin)
+
+        assert [r.products for r in results] == expected
+        for out, row in stage.rows.items():
+            assert row.cell_writes.tolist() == (
+                oracle.rows[out].cell_writes.tolist()
+            ), f"{out}: wear diverges from the sequential oracle"
+    speedup = seq_s / bat_s
+    table = format_table(
+        ("multiply stage", "us/job", "speedup"),
+        [
+            (
+                "sequential (oracle)",
+                f"{seq_s / MULTIPLY_JOBS * 1e6:.0f}",
+                "1.0x",
+            ),
+            (
+                "lane-parallel batch",
+                f"{bat_s / MULTIPLY_JOBS * 1e6:.0f}",
+                f"{speedup:.1f}x",
+            ),
+        ],
+        title=(
+            f"Multiply stage, {MULTIPLY_JOBS} jobs at n = {MULTIPLY_BITS}: "
+            f"{speedup:.1f}x speedup (floor {MIN_MULTIPLY_SPEEDUP:.0f}x)"
+        ),
+    )
+    return speedup, table
+
+
 def _register(name, table):
     try:
         from benchmarks.conftest import register_report
@@ -256,12 +325,22 @@ def test_word_backend_lane_light():
     )
 
 
+def test_multiply_stage_speedup():
+    speedup, table = run_multiply_bench()
+    _register("multiply-stage", table)
+    assert speedup >= MIN_MULTIPLY_SPEEDUP, (
+        f"lane-parallel multiply stage only {speedup:.2f}x faster than "
+        f"the sequential oracle (needs >= {MIN_MULTIPLY_SPEEDUP}x)"
+    )
+
+
 if __name__ == "__main__":
     failed = False
     for measured, report, floor, name in (
         (*run_bench(), MIN_SPEEDUP, "batched"),
         (*run_backend_bench(), MIN_BACKEND_SPEEDUP, "word backend"),
         (*run_lane_light_bench(), MIN_LANE_LIGHT_SPEEDUP, "lane-light word"),
+        (*run_multiply_bench(), MIN_MULTIPLY_SPEEDUP, "multiply stage"),
     ):
         print(report)
         if measured < floor:

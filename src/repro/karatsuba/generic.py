@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+from repro.arith import rowmul
 from repro.arith.bitops import mask, split_chunks
 from repro.arith.koggestone import (
     SCRATCH_ROWS,
@@ -152,10 +153,15 @@ class GenericKaratsubaMultiplier:
 
         # ---- multiply (lock-step rows) ---------------------------------
         start = self.clock.cycles
-        for step in plan.multiplications:
-            values[step.out] = self.rows[step.out].multiply(
-                values[step.lhs], values[step.rhs]
-            )
+        steps = plan.multiplications
+        products = rowmul.multiply_lanes(
+            plan.max_mult_width,
+            [values[step.lhs] for step in steps],
+            [values[step.rhs] for step in steps],
+        )
+        for step, product in zip(steps, products):
+            values[step.out] = product
+            self.rows[step.out].charge(1, rotate=False)
         self.clock.tick(
             RowMultiplierSpec(plan.max_mult_width).latency_cc,
             category="rowmul",

@@ -107,8 +107,9 @@ class MultiplicationStage(RowStage):
         extends the lock-step across operand sets, so the stage clock
         advances by a single row latency for the whole batch.  Products
         and wear accumulation are identical to calling :meth:`process`
-        per job (each job still charges its writes and rotates the hot
-        cells in order).
+        per job: all 9·B products come from one lane-parallel sweep,
+        and each row then charges its B passes, hot-cell rotations
+        included, in closed form.
         """
         cycles = self.latency_cc()
         return [

@@ -6,7 +6,7 @@ the MAGIC subarrays), single-row multipliers
 (:class:`~repro.arith.rowmul.RowMultiplier`), or neither (a slot that
 only moves words through the periphery).  Area, wear and repair derive
 from those lists, so a stage never restates them.  :class:`RowStage`
-is the checked multiply-and-rotate loop the Karatsuba multiplication
+is the checked lane-parallel multiply the Karatsuba multiplication
 stage, the Toom-3 point-wise stage and the schoolbook row share.
 """
 
@@ -63,8 +63,12 @@ class RowStage(Stage):
     """Single-row multipliers in lock-step, one per step.
 
     Each step ``(out, lhs, rhs)`` multiplies two named operands in its
-    own ``width``-bit row.  Every product is residue-verified, and with
-    wear-leveling on each row rotates its hot cells after every pass.
+    own ``width``-bit row.  Every product of a batch comes from one
+    :func:`~repro.arith.rowmul.multiply_lanes` sweep, is
+    residue-verified, and only then charged: each row books the
+    batch's passes in closed form, rotating its hot cells after every
+    pass when wear-leveling is on.  A pass that fails its check
+    charges nothing.
     """
 
     def __init__(
@@ -90,22 +94,45 @@ class RowStage(Stage):
         Each product is checked as ``res(z) == res(x)·res(y) mod
         (2^r − 1)``.  The clock is the caller's to advance.
         """
+        return self.multiply_passes([operands])[0]
+
+    def multiply_passes(
+        self, operands_list: Sequence[Dict[str, int]]
+    ) -> List[Dict[str, int]]:
+        """B passes in one lane-parallel sweep; the clock is untouched.
+
+        Products, residue checks (in job-major, step-major order) and
+        wear match B calls of :meth:`multiply`; every product is
+        verified before any row is charged.
+        """
+        if not operands_list:
+            return []
+        try:
+            lhs = [ops[x] for ops in operands_list for _, x, _ in self.steps]
+            rhs = [ops[y] for ops in operands_list for _, _, y in self.steps]
+        except KeyError as missing:
+            out = next(
+                out
+                for ops in operands_list
+                for out, x, y in self.steps
+                if x not in ops or y not in ops
+            )
+            raise DesignError(f"missing operand {missing} for {out}")
+        products = rowmul.multiply_lanes(self.width, lhs, rhs)
         res = self.checker.res
-        products: Dict[str, int] = {}
-        for out, lhs_name, rhs_name in self.steps:
-            try:
-                lhs = operands[lhs_name]
-                rhs = operands[rhs_name]
-            except KeyError as missing:
-                raise DesignError(f"missing operand {missing} for {out}")
-            product = self.rows[out].multiply(lhs, rhs)
-            self.checker.check_product(product, res(lhs), res(rhs), out)
-            products[out] = product
-        if self.wear_leveling:
-            for row in self.rows.values():
-                row.rotate_hot_cells()
-        self.passes += 1
-        return products
+        outs = [out for out, _, _ in self.steps]
+        for lane, (product, x, y) in enumerate(zip(products, lhs, rhs)):
+            self.checker.check_product(
+                product, res(x), res(y), outs[lane % len(outs)]
+            )
+        results = [
+            dict(zip(outs, products[start:start + len(outs)]))
+            for start in range(0, len(products), len(outs))
+        ]
+        for row in self.rows.values():
+            row.charge(len(operands_list), self.wear_leveling)
+        self.passes += len(operands_list)
+        return results
 
     def multiply_batch(
         self, operands_list: Sequence[Dict[str, int]]
@@ -115,7 +142,7 @@ class RowStage(Stage):
         Products and wear match B calls of :meth:`multiply`; the clock
         advances by a single row latency for the whole batch.
         """
-        products = [self.multiply(operands) for operands in operands_list]
+        products = self.multiply_passes(operands_list)
         if products:
             self.clock.tick(self.latency_cc(), category="rowmul")
         return products

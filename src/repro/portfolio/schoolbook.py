@@ -113,8 +113,10 @@ class SchoolbookController(StagedController):
         mul_cc = self.row.latency_cc()
         with self._stage_span("multiply", self.row, len(pairs)):
             products = [
-                self.row.multiply({"a": a, "b": b})["product"]
-                for a, b in pairs
+                named["product"]
+                for named in self.row.multiply_passes(
+                    [{"a": a, "b": b} for a, b in pairs]
+                )
             ]
             # Jobs run back to back in the single row; the batch
             # advances the clock once per job (no lane parallelism to
