@@ -11,7 +11,7 @@ checks live here:
   scalar path.
 * ``test_word_backend_speedup`` replays the n = 256 stage mega-programs
   over a 64-lane batch on both batched backends and asserts the
-  word-packed engine is at least 4x faster than the bit-plane engine
+  word-packed engine is at least 6x faster than the bit-plane engine
   with bit-identical per-lane results.  The replay itself is measured
   (not ``run_stream`` wall clock) because program compilation and the
   closed-form multiply stage are backend-independent and would dilute
@@ -19,7 +19,7 @@ checks live here:
 * ``test_word_backend_lane_light`` replays the n = 384 postcompute
   mega-program over 5 lanes — the sparse batches a mixed-width service
   flushes — on the word backend and on the per-lane scalar oracle, and
-  asserts the word backend is at least 40x faster with bit-identical
+  asserts the word backend is at least 100x faster with bit-identical
   per-lane results.  An in-run ratio, so host speed cancels out.
 * ``test_multiply_stage_speedup`` runs 32 jobs at n = 64 through
   ``MultiplicationStage.process_batch`` (one lane-parallel carry-save
@@ -62,13 +62,13 @@ BACKEND_LANES = 64
 
 #: Required advantage of the word-packed replay over the bit-plane
 #: replay on the 64-lane n = 256 stage mega-programs.
-MIN_BACKEND_SPEEDUP = 4.0
+MIN_BACKEND_SPEEDUP = 6.0
 
 #: Lane-light floor: the widest postcompute mega-program at the lane
 #: count of a sparse mixed-width batch, word backend vs scalar oracle.
 LANE_LIGHT_BITS = 384
 LANE_LIGHT_LANES = 5
-MIN_LANE_LIGHT_SPEEDUP = 40.0
+MIN_LANE_LIGHT_SPEEDUP = 100.0
 
 #: Multiply-stage floor: one lane-parallel batch vs the sequential
 #: per-row oracle, per job.
@@ -77,8 +77,9 @@ MULTIPLY_JOBS = 32
 MIN_MULTIPLY_SPEEDUP = 4.0
 
 #: Timing repetitions per backend; best-of is reported so scheduler
-#: noise cannot fail the floor.
-BACKEND_REPS = 3
+#: noise cannot fail the floor.  A word replay takes a few ms, so one
+#: burst of contention on a shared host can cover three repetitions.
+BACKEND_REPS = 7
 
 
 def _measure(batch_size):

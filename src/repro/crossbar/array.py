@@ -739,23 +739,14 @@ class BatchedCrossbarArray:
         )
 
 
-def _csa_add(planes: list, mask: int) -> None:
-    """Add a packed bit-mask into a binary carry-save counter.
+def _popcount_bin(value: int) -> int:
+    """Set bits of a non-negative int by counting binary digits."""
+    return bin(value).count("1")
 
-    ``planes[k]`` holds bit *k* of every cell's running event count, so
-    one add is amortized ~2 big-integer operations and a counter over
-    *N* events needs only ``log2(N)`` planes — the word-packed array's
-    deferred energy accounting flushes planes, not events.
-    """
-    i = 0
-    while mask:
-        if i == len(planes):
-            planes.append(mask)
-            return
-        carry = planes[i] & mask
-        planes[i] ^= mask
-        mask = carry
-        i += 1
+
+#: Population count of a non-negative int: ``int.bit_count`` where the
+#: interpreter has it (Python 3.10+), the digit count otherwise.
+_popcount = getattr(int, "bit_count", _popcount_bin)
 
 
 class WordPackedCrossbarArray:
@@ -770,12 +761,13 @@ class WordPackedCrossbarArray:
     bitwise integer operations instead of a numpy pass over a
     byte-per-bit tensor.
 
-    Accounting matches :class:`BatchedCrossbarArray` per lane exactly,
-    but is *deferred* so the hot loop stays in integer land:
+    Accounting stays in integer land so the hot loop never leaves it:
 
-    * data-dependent switching energy is recorded as
-      ``(coefficient, packed-cell-mask)`` events and popcounted per
-      lane in one vectorised pass when :attr:`energy_fj` is read;
+    * energy is kept as one batch total, not per lane: each
+      data-dependent switching event adds its coefficient times the
+      popcount of its packed cell mask over the real lanes, so
+      :meth:`total_energy_fj` equals the sum of the scalar oracle's
+      per-lane energies (exact for integer device coefficients);
     * write pulses are queued (or, on the executor fast path, applied
       as one precomputed per-program delta) and folded into the
       ``(phys_rows, cols)`` per-lane counters when :attr:`writes` is
@@ -785,7 +777,8 @@ class WordPackedCrossbarArray:
     replicate the last real lane everywhere — initial state, operand
     marshalling, fault pinning — so full-word invariants such as the
     strict-MAGIC init check are exactly equivalent to checking the real
-    lanes, and the padding never contributes to trimmed accounting.
+    lanes.  Energy events are masked to the real lanes, so the padding
+    is never charged.
     """
 
     #: Lanes are padded to whole bytes so packed fields marshal through
@@ -824,14 +817,11 @@ class WordPackedCrossbarArray:
         self._writes = np.zeros((rows + spare_rows, cols), dtype=np.int64)
         #: Queued write pulses: (phys row, column mask or None, count).
         self._pending_writes: list = []
-        self._energy = np.zeros(batch, dtype=np.float64)
-        #: Deferred per-lane-identical energy (data-independent pulses).
-        self._energy_const = 0.0
-        #: Deferred data-dependent energy, per coefficient: a binary
-        #: carry-save counter over packed masks (plane *k* holds bit
-        #: *k* of each cell's event count), so a program contributes
-        #: O(log events) planes to flush instead of one mask per event.
-        self._energy_acc: Dict[float, list] = {}
+        #: Every real lane of every column; energy events are counted
+        #: through it so padding lanes are never charged.
+        self._real_lanes = ((1 << batch) - 1) * (self._full // self._lane_block)
+        #: Energy summed over the real lanes, in femtojoules.
+        self._energy_fj = 0.0
         self._faults: Dict[Tuple[int, int], str] = {}
         self._row_map = list(range(rows))
 
@@ -908,45 +898,11 @@ class WordPackedCrossbarArray:
         return int.from_bytes(raw.tobytes(), "little")
 
     # ------------------------------------------------------------------
-    # Deferred accounting
+    # Accounting
     # ------------------------------------------------------------------
-    def _add_energy_event(self, coeff: float, mask: int) -> None:
-        """Charge *coeff* femtojoules to every set cell of *mask*."""
-        planes = self._energy_acc.get(coeff)
-        if planes is None:
-            planes = self._energy_acc[coeff] = []
-        _csa_add(planes, mask)
-
-    def _flush_energy(self) -> None:
-        acc = self._energy_acc
-        if acc:
-            # Weight plane k of the coeff-c counter by c * 2**k; each
-            # plane popcounts per lane in one vectorised unpackbits.
-            # Plane lists are emptied in place so executor hot loops
-            # may keep a binding to them across a flush.
-            items = []
-            for coeff, planes in acc.items():
-                for k, plane in enumerate(planes):
-                    if plane:
-                        items.append((coeff * (1 << k), plane))
-                planes.clear()
-            if items:
-                nbytes = self.row_bits // 8
-                buf = b"".join(
-                    plane.to_bytes(nbytes, "little") for _, plane in items
-                )
-                raw = np.frombuffer(buf, dtype=np.uint8).reshape(
-                    len(items), self.cols, self.lane_bits // 8
-                )
-                bits = np.unpackbits(raw, axis=2, bitorder="little")
-                counts = bits.sum(axis=1, dtype=np.int64)[:, : self.batch]
-                coeffs = np.array(
-                    [coeff for coeff, _ in items], dtype=np.float64
-                )
-                self._energy += coeffs @ counts
-        if self._energy_const:
-            self._energy += self._energy_const
-            self._energy_const = 0.0
+    def _charge(self, coeff: float, mask: int) -> None:
+        """Charge *coeff* femtojoules to every real-lane set cell of *mask*."""
+        self._energy_fj += coeff * _popcount(mask & self._real_lanes)
 
     def _flush_writes(self) -> None:
         if not self._pending_writes:
@@ -964,12 +920,6 @@ class WordPackedCrossbarArray:
         """Per-lane write-pulse counters, ``(phys_rows, cols)`` int64."""
         self._flush_writes()
         return self._writes
-
-    @property
-    def energy_fj(self) -> np.ndarray:
-        """Per-lane accumulated energy, ``(batch,)`` float64."""
-        self._flush_energy()
-        return self._energy
 
     # ------------------------------------------------------------------
     @property
@@ -1087,10 +1037,8 @@ class WordPackedCrossbarArray:
             cells = int(mask.sum())
             masked = value & m
         self._pending_writes.append((phys, mask, 1))
-        self._energy_const += self.device.e_reset_fj * cells
-        self._add_energy_event(
-            self.device.e_set_fj - self.device.e_reset_fj, masked
-        )
+        self._energy_fj += self.device.e_reset_fj * cells * self.batch
+        self._charge(self.device.e_set_fj - self.device.e_reset_fj, masked)
         if self._faults:
             self._apply_faults()
 
@@ -1101,7 +1049,7 @@ class WordPackedCrossbarArray:
             sensed = self.cols
         else:
             sensed = int(self._mask(mask).sum())
-        self._energy_const += self.device.e_read_fj * sensed
+        self._energy_fj += self.device.e_read_fj * sensed * self.batch
         return self._unpack_word(self._state[phys])
 
     def peek_row(self, row: int) -> np.ndarray:
@@ -1123,7 +1071,7 @@ class WordPackedCrossbarArray:
             phys = self._row(row)
             self._state[phys] |= m
             self._pending_writes.append((phys, mask, 1))
-            self._energy_const += self.device.e_set_fj * cells
+            self._energy_fj += self.device.e_set_fj * cells * self.batch
         if self._faults:
             self._apply_faults()
 
@@ -1154,7 +1102,7 @@ class WordPackedCrossbarArray:
         any_one = self._state[in_phys[0]]
         for row in in_phys[1:]:
             any_one = any_one | self._state[row]
-        self._add_energy_event(self.device.e_reset_fj, any_one & out & m)
+        self._charge(self.device.e_reset_fj, any_one & out & m)
         self._state[out_phys] = (out & ~m) | (~any_one & m)
         self._pending_writes.append((out_phys, mask, 1))
         if self._faults:
@@ -1177,13 +1125,9 @@ class WordPackedCrossbarArray:
         """Per-lane total write pulses."""
         return int(self.writes.sum())
 
-    def lane_energy_fj(self, lane: int) -> float:
-        """Energy accumulated by one lane, in femtojoules."""
-        return float(self.energy_fj[lane])
-
     def total_energy_fj(self) -> float:
-        """Energy summed over all lanes."""
-        return float(self.energy_fj.sum())
+        """Energy summed over all lanes (no per-lane split is kept)."""
+        return self._energy_fj
 
     def snapshot(self, lane: int) -> np.ndarray:
         """Copy of one lane's logical bit state (rows x cols)."""

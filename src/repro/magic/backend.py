@@ -2,7 +2,7 @@
 
 One batched MAGIC replay — a compiled program evaluated over *B*
 operand sets in lock-step — has three interchangeable execution
-strategies, all accounting-equivalent per lane:
+strategies, all accounting-equivalent:
 
 * ``scalar`` — :class:`ScalarBackend`: one :class:`~repro.magic.executor.MagicExecutor`
   pass per lane on per-lane array copies.  Slowest, but it is the
@@ -21,8 +21,8 @@ a scalar template array into a batch-capable container and
 executor.  Everything downstream (stage batch paths, the service
 config, benchmarks) selects a backend by registry name through
 :func:`get_backend`; per-lane results, cycle counts, write counters
-and energy are bit-identical across all three, so the choice only
-moves wall-clock simulation speed.
+and the batch energy total are bit-identical across all three, so the
+choice only moves wall-clock simulation speed.
 
 The paper's closed-form cycle counts are a property of the *programs*,
 not the backend — every backend replays the same compiled program and
@@ -59,9 +59,12 @@ class ExecutorBackend:
     Concrete backends provide two factories; everything else (compile
     caches, stage fold-back of writes/energy, telemetry) is shared
     machinery that only touches the uniform array/executor surface:
-    ``reset_to_ones`` / ``repin_faults`` / ``writes`` / ``energy_fj`` /
-    ``total_energy_fj`` / ``snapshot(lane)`` on arrays, and
-    ``execute(compiled, bindings)`` on executors.
+    ``reset_to_ones`` / ``repin_faults`` / ``writes`` /
+    ``total_energy_fj()`` / ``snapshot(lane)`` on arrays, and
+    ``execute(compiled, bindings)`` on executors.  Per-lane energy
+    (``energy_fj`` vectors, ``lane_energy_fj``, ``RunStats.energy_fj``)
+    is kept by the scalar oracle and the bit-plane path only; the word
+    backend keeps the batch total.
     """
 
     #: Registry name (``"scalar"`` / ``"bitplane"`` / ``"word"``).

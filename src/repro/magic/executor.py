@@ -35,7 +35,7 @@ from repro.crossbar.array import (
     BatchedCrossbarArray,
     CrossbarArray,
     WordPackedCrossbarArray,
-    _csa_add,
+    _popcount,
 )
 from repro.magic.ops import (
     Init,
@@ -499,7 +499,9 @@ class MagicExecutor:
 
         Returns one :class:`RunStats` per lane, bit-identical (results,
         cycles, op counts, energy) to running :meth:`execute` with that
-        lane's bindings on a scalar copy of the array.
+        lane's bindings on a scalar copy of the array — except that the
+        word backend keeps no per-lane energy, so its lanes report
+        ``energy_fj`` as NaN.
         """
         from repro.magic.backend import get_backend
 
@@ -1035,12 +1037,16 @@ class WordPackedMagicExecutor:
     row is one big integer holding one bit per lane per column (lanes
     padded to whole bytes), so a row-parallel NOR over the whole batch
     is a handful of bitwise integer operations instead of a numpy pass
-    over a byte-per-bit tensor.  Accounting is deferred: data-dependent
-    switching energy is summed into carry-save counters of packed masks
-    popcounted lazily in one vectorised pass, and write counters are
-    applied as one precomputed per-program delta — per-lane results,
-    cycle counts, write counters and energy stay bit-identical to the
-    scalar oracle and the bit-plane path.
+    over a byte-per-bit tensor.  Accounting stays in integers: each
+    RESET (NOR), WRITE and SHIFT event adds the popcount of its packed
+    mask over the real lanes to a per-coefficient event count, folded
+    into the array's energy total once per replay, and write counters
+    are applied as one precomputed per-program delta.  Per-lane
+    results, cycle counts and write counters stay bit-identical to the
+    scalar oracle and the bit-plane path, and the energy total equals
+    the sum of the oracle's per-lane energies.  Energy is not split per
+    lane: each lane's ``RunStats.energy_fj`` is NaN, and the batch
+    total is :meth:`WordPackedCrossbarArray.total_energy_fj`.
     """
 
     def __init__(
@@ -1181,21 +1187,17 @@ class WordPackedMagicExecutor:
         np_masks = lowered.np_masks
         windows = lowered.windows
 
-        energy_before = array.energy_fj.copy()
         reads: List[Tuple[str, int, int]] = []
         trace_enabled = self.trace.enabled
         hook = self.fault_hook
-        device = array.device
-        e_reset = device.e_reset_fj
-        w_coeff = device.e_set_fj - e_reset
         state = array._state
-        # Carry-save energy counters (plane k holds bit k of each
-        # cell's event count); a flush empties these lists in place, so
-        # the bindings stay valid for the whole replay.  One counter
-        # per coefficient (setdefault aliases them if a device makes
-        # the two coefficients collide).
-        reset_planes = array._energy_acc.setdefault(e_reset, [])
-        write_planes = array._energy_acc.setdefault(w_coeff, [])
+        # Switching events over the real lanes: RESETs charge e_reset,
+        # set cells of a WRITE or SHIFT charge e_set - e_reset on top
+        # of the per-cell RESET pulse in the constant part.
+        real = array._real_lanes
+        popcount = _popcount
+        resets = 0
+        sets = 0
         strict = array.strict_magic
         have_faults = bool(array._faults)
         for index, step in enumerate(steps):
@@ -1221,15 +1223,7 @@ class WordPackedMagicExecutor:
                     else:
                         state[out_phys] = (out & not_masks[w]) | (m ^ event)
                         event &= out
-                    # Inline carry-save add of the RESET event mask.
-                    if event:
-                        for k, plane in enumerate(reset_planes):
-                            reset_planes[k] = plane ^ event
-                            event &= plane
-                            if not event:
-                                break
-                        else:
-                            reset_planes.append(event)
+                    resets += popcount(event & real)
                     if have_faults:
                         array._apply_faults()
                     if hook is not None:
@@ -1245,7 +1239,7 @@ class WordPackedMagicExecutor:
                 _, phys, operand, w, row = step
                 pre = array.unpack_row(row) if hook is not None else None
                 value = packed[operand] << (windows[w][0] * lane_bits)
-                _csa_add(write_planes, value)
+                sets += popcount(value & real)
                 state[phys] = (state[phys] & not_masks[w]) | value
                 if have_faults:
                     array._apply_faults()
@@ -1273,14 +1267,7 @@ class WordPackedMagicExecutor:
                     shifted |= masks[fill_window]
                 pre = array.unpack_row(row) if hook is not None else None
                 state[dst] = (state[dst] & not_masks[w]) | shifted
-                if shifted:
-                    for k, plane in enumerate(write_planes):
-                        write_planes[k] = plane ^ shifted
-                        shifted &= plane
-                        if not shifted:
-                            break
-                    else:
-                        write_planes.append(shifted)
+                sets += popcount(shifted & real)
                 if have_faults:
                     array._apply_faults()
                 if hook is not None:
@@ -1298,7 +1285,12 @@ class WordPackedMagicExecutor:
                 op = compiled.program.ops[index]
                 self.trace.record(self.clock.cycles, op.opcode, repr(op))
 
-        array._energy_const += lowered.energy_const_fj(device)
+        device = array.device
+        array._energy_fj += (
+            device.e_reset_fj * resets
+            + (device.e_set_fj - device.e_reset_fj) * sets
+            + lowered.energy_const_fj(device) * batch
+        )
         array._writes += writes_delta
         begin_cc = self.clock.cycles
         for opcode, cycles in compiled.cycles_by_opcode.items():
@@ -1319,12 +1311,11 @@ class WordPackedMagicExecutor:
         results: List[Dict[str, int]] = [{} for _ in range(batch)]
         if reads:
             self._unpack_reads(reads, results)
-        energy = array.energy_fj - energy_before
         stats_list = []
         for lane in range(batch):
             stats = RunStats(
                 cycles=compiled.cycle_count,
-                energy_fj=float(energy[lane]),
+                energy_fj=float("nan"),
                 op_counts=dict(compiled.op_counts),
                 results=results[lane],
             )

@@ -79,7 +79,7 @@ class CrossbarUnit:
         # Each lane models one sequential reuse of the same physical
         # subarray: pulses repeat per lane, switching energy is per lane.
         self.array.writes += lanes.writes * len(bindings)
-        self.array.energy_fj += float(lanes.energy_fj.sum())
+        self.array.energy_fj += lanes.total_energy_fj()
         self.array.state[:] = True
 
     def diagnose_and_repair(self) -> List[int]:

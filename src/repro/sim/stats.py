@@ -26,6 +26,8 @@ class RunStats:
     write_ops: int = 0
     shift_ops: int = 0
     cell_writes: int = 0
+    #: NaN on the word backend's per-lane stats, which keep no per-lane
+    #: energy (the batch total is on its array).
     energy_fj: float = 0.0
     op_counts: Dict[str, int] = field(default_factory=dict)
     #: READ results (name -> value) produced by the run that built these

@@ -11,6 +11,7 @@ use ``==`` deliberately.
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -235,10 +236,16 @@ class TestBatchedDifferential:
             assert got.op_counts == stats.op_counts
             assert got.nor_ops == stats.nor_ops
             assert got.shift_ops == stats.shift_ops
-            assert got.energy_fj == stats.energy_fj
-            assert got.energy_fj == batched_array.lane_energy_fj(lane)
+            if backend == "word":
+                assert math.isnan(got.energy_fj)
+            else:
+                assert got.energy_fj == stats.energy_fj
+                assert got.energy_fj == batched_array.lane_energy_fj(lane)
             assert np.array_equal(batched_array.snapshot(lane), array.snapshot())
             assert np.array_equal(batched_array.writes, array.writes)
+        assert batched_array.total_energy_fj() == sum(
+            stats.energy_fj for stats, _ in scalar_runs
+        )
 
     def test_simd_clock_advances_once_per_batch(self):
         adder, executor = standalone_adder(8)
