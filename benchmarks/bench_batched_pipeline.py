@@ -8,7 +8,10 @@ checks live here:
   (32 jobs at n = 256 through ``run_stream``) both ways, asserts
   bit-identical products against Python integer multiplication, and
   asserts the batched path is at least 8x faster than the sequential
-  scalar path.
+  scalar path.  It also asserts the batch takes exactly two SIMD
+  replays, one per adder stage: both wear states of a fault-free
+  stage batch share one replay.  The count is deterministic, so it
+  holds on any host.
 * ``test_word_backend_speedup`` replays the n = 256 stage mega-programs
   over a 64-lane batch on both batched backends and asserts the
   word-packed engine is at least 6x faster than the bit-plane engine
@@ -48,6 +51,7 @@ from repro.karatsuba.postcompute import PostcomputeStage
 from repro.karatsuba.precompute import PrecomputeStage
 from repro.magic.backend import get_backend
 from repro.sim.clock import Clock
+from repro.telemetry import tracing
 
 #: Acceptance workload: one full batch at the paper's flagship width.
 N_BITS = 256
@@ -56,6 +60,11 @@ BATCH_SIZE = 32
 
 #: Required advantage of the batched path over job-by-job execution.
 MIN_SPEEDUP = 8.0
+
+#: SIMD replays of one batch: precompute + postcompute, each replaying
+#: every wear state of the batch at once (the multiply stage is a
+#: packed carry-save sweep, not a replay).
+REPLAYS_PER_BATCH = 2
 
 #: Lanes for the backend shoot-out: a lane-full batch.
 BACKEND_LANES = 64
@@ -82,18 +91,29 @@ MIN_MULTIPLY_SPEEDUP = 4.0
 BACKEND_REPS = 7
 
 
-def _measure(batch_size):
+def _pairs():
     rng = random.Random(0xD47E)
-    pairs = [
+    return [
         (rng.randrange(2**N_BITS), rng.randrange(2**N_BITS))
         for _ in range(JOBS)
     ]
+
+
+def _measure(batch_size):
+    pairs = _pairs()
     pipeline = KaratsubaPipeline(N_BITS)
     begin = time.perf_counter()
     result = pipeline.run_stream(pairs, batch_size=batch_size)
     elapsed = time.perf_counter() - begin
     assert result.products == [a * b for a, b in pairs]
     return elapsed, result, pipeline
+
+
+def _count_replays():
+    """SIMD replays of one traced batch, one ``magic.program`` span each."""
+    with tracing() as tracer:
+        KaratsubaPipeline(N_BITS).run_stream(_pairs(), batch_size=BATCH_SIZE)
+    return sum(1 for span in tracer.walk() if span.name == "magic.program")
 
 
 def run_bench():
@@ -111,6 +131,11 @@ def run_bench():
         seq_pipeline.controller.max_writes()
         == bat_pipeline.controller.max_writes()
     )
+    replays = _count_replays()
+    assert replays == REPLAYS_PER_BATCH, (
+        f"one {JOBS}-job batch took {replays} SIMD replays "
+        f"(expected {REPLAYS_PER_BATCH}: one per adder stage)"
+    )
 
     rows = [
         ("sequential (oracle)", f"{seq_seconds:.3f}", f"{seq_seconds / JOBS * 1e3:.1f}"),
@@ -121,7 +146,8 @@ def run_bench():
         rows,
         title=(
             f"Batched executor, {JOBS} jobs at n = {N_BITS}: "
-            f"{speedup:.1f}x speedup (floor {MIN_SPEEDUP:.0f}x)"
+            f"{speedup:.1f}x speedup (floor {MIN_SPEEDUP:.0f}x), "
+            f"{replays} replays"
         ),
     )
     return speedup, table

@@ -129,8 +129,13 @@ class WearLevelingController:
         the even-indexed operations see the current state and the odd
         ones the other.  Yields the even indices, swaps, yields the odd
         indices (if any), and leaves the mapping where *jobs* swaps
-        would.  Batched stages replay each group as one SIMD pass.
+        would.  Zero jobs yield nothing and leave the mapping as it is.
+        Batched stages replay the groups as one SIMD batch.
         """
+        if jobs < 0:
+            raise ValueError("job count must be non-negative")
+        if not jobs:
+            return
         start = self.swaps
         yield list(range(0, jobs, 2))
         self.swap()

@@ -294,9 +294,11 @@ class KaratsubaController(StagedController):
     def run_jobs_batch(self, pairs: Iterable[Tuple[int, int]]) -> List[JobRecord]:
         """Multiply a batch of operand pairs through all three stages.
 
-        Every stage executes its whole batch in SIMD fashion (one
-        compiled pass per wear state) instead of job-by-job, which is
-        where the pipeline's throughput comes from.  Products, per-job
+        Every stage executes its whole batch in SIMD fashion instead of
+        job-by-job, which is where the pipeline's throughput comes
+        from: each adder stage in one replay covering both wear states
+        (one per wear state on a unit with a fault or fault hook), the
+        multiply stage in one carry-save sweep.  Products, per-job
         cycle counts, wear counters and energy are bit-identical to
         calling :meth:`run_job` per pair; only the stage clocks differ,
         advancing once per lock-step pass rather than once per job.

@@ -135,9 +135,10 @@ class KaratsubaPipeline:
         """Replay a stream of multiplications.
 
         By default the stream executes batched: chunks of *batch_size*
-        jobs run through the compiled-once SIMD executor (one pass of
-        numpy kernels per stage and wear state), which is how the
-        simulator keeps up with the hardware's row-parallel execution.
+        jobs run through the compiled-once SIMD executor (one replay
+        per adder stage and chunk on a fault-free unit), which is how
+        the simulator keeps up with the hardware's row-parallel
+        execution.
         Pass ``batch_size=None`` to force the scalar job-by-job path —
         the differential-testing oracle.  Products, per-job cycles,
         wear and energy are bit-identical either way.

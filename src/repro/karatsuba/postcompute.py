@@ -51,7 +51,7 @@ from repro.arith.koggestone import (
 )
 from repro.crossbar.array import CrossbarArray
 from repro.crossbar.endurance import WearLevelingController
-from repro.karatsuba.stage import Stage
+from repro.karatsuba.stage import WearLeveledStage
 from repro.magic.executor import int_to_bits
 from repro.magic.passes import summarize_reports
 from repro.magic.program import Program, ProgramBuilder
@@ -104,7 +104,7 @@ class PostcomputeResult:
     cycles: int
 
 
-class PostcomputeStage(Stage):
+class PostcomputeStage(WearLeveledStage):
     """Cycle-accurate postcomputation subarray.
 
     Every pass stages its operand words into the adder's x/y rows
@@ -193,7 +193,7 @@ class PostcomputeStage(Stage):
         passes, product = self._plan_passes(products)
 
         adder = self._adder()
-        self._power_up(adder)
+        self._power_up()
 
         # Stage the incoming products in the packed data rows so wear
         # accounting sees their writes (2 products per row, Fig. 7a).
@@ -297,12 +297,13 @@ class PostcomputeStage(Stage):
             raise AssertionError(f"pass schedule drifted: {ops}")
         return passes, product
 
-    def _power_up(self, adder: KoggeStoneAdder) -> None:
+    def _power_up(self) -> None:
         """Once per wear state: initialise scratch and sum rows."""
         state = self.leveler.swapped
         if state not in self._initialised_states:
-            self.array.init_rows(adder.layout.scratch_rows)
-            self.array.init_rows([adder.layout.out_row])
+            layout = self._adder().layout
+            self.array.init_rows(layout.scratch_rows)
+            self.array.init_rows([layout.out_row])
             self._initialised_states.add(state)
 
     def _mega_program(self) -> Tuple[Program, Dict[str, int], int]:
@@ -345,69 +346,59 @@ class PostcomputeStage(Stage):
     def process_batch(
         self, products_list: List[Dict[str, int]]
     ) -> List[PostcomputeResult]:
-        """Run B postcomputation passes in one SIMD sweep per wear state.
+        """Run B postcomputation passes as one SIMD batch
+        (:meth:`WearLeveledStage._replay_jobs`).
 
-        Same contract as the precompute stage's batch path: jobs are
-        grouped by sequential wear-state parity, each group replays the
-        state's mega-program on a batched crossbar seeded at the steady
-        all-ones state, every sensed pass result is asserted against the
-        pure-integer plan, and per-lane writes/energy fold back into the
-        stage array bit-identically to :meth:`process` per job.
+        Every job is validated before anything replays, every sensed
+        pass result is asserted against the pure-integer plan, and
+        results and counters are bit-identical to :meth:`process` per
+        job, with the stage clock advancing one pass per wear-state
+        group.
         """
         products_list = list(products_list)
         if not products_list:
             return []
         required = set(self._INPUT_NAMES)
         plans = []
+        bindings = []
         for products in products_list:
             missing = required - products.keys()
             if missing:
                 raise DesignError(f"missing partial products: {sorted(missing)}")
-            plans.append(self._plan_passes(products))
+            passes, product = self._plan_passes(products)
+            plans.append((passes, product))
+            bindings.append(self._bindings(products, passes))
 
-        groups = (
-            self.leveler.batch_groups(len(products_list))
-            if self.wear_leveling
-            else [list(range(len(products_list)))]
-        )
-        span = self.cols // 2
-        products_out: Dict[int, int] = {}
-        cycles_per_job = 0
-        for group in groups:
-            adder = self._adder()
-            self._power_up(adder)
-            program, hist, cycles_per_job = self._mega_program()
-            bindings = []
-            for j in group:
-                passes, _ = plans[j]
-                values: Dict[str, int] = {}
-                for slot, name in enumerate(self._INPUT_NAMES):
-                    width = min(span, self.cols - (slot % 2) * span)
-                    value = products_list[j][name]
-                    if value >> width:
-                        raise DesignError(f"product {name} does not fit its slot")
-                    values[name] = value
-                for index, (_, x, y) in enumerate(passes):
-                    values[f"x{index}"] = x
-                    values[f"y{index}"] = y
-                bindings.append(values)
+        def check_job(j, sensed):
+            passes, _ = plans[j]
+            for index, (op, x, y) in enumerate(passes):
+                self._check_pass(
+                    sensed[f"out{index}"], op, x, y, f"pass-{index + 1}"
+                )
 
-            # Compile once per wear state via the unit's persistent
-            # cache; each batch replays the compiled program.
-            with self.unit.replay(program, bindings) as (_, stats):
-                for lane, j in enumerate(group):
-                    passes, product = plans[j]
-                    for index, (op, x, y) in enumerate(passes):
-                        sensed = stats[lane].results[f"out{index}"]
-                        self._check_pass(sensed, op, x, y, f"pass-{index + 1}")
-                    products_out[j] = product
-            for opcode, cost in hist.items():
-                self.clock.tick(cost, category=opcode)
-            self.passes += len(group)
+        cycles_per_job = self._replay_jobs(bindings, check_job)
         return [
-            PostcomputeResult(product=products_out[j], cycles=cycles_per_job)
-            for j in range(len(products_list))
+            PostcomputeResult(product=product, cycles=cycles_per_job)
+            for _, product in plans
         ]
+
+    def _bindings(
+        self, products: Dict[str, int], passes: List[Tuple[str, int, int]]
+    ) -> Dict[str, int]:
+        """One lane's mega-program bindings: the nine products in their
+        packed slots and the x/y operands of every pass."""
+        span = self.cols // 2
+        values: Dict[str, int] = {}
+        for slot, name in enumerate(self._INPUT_NAMES):
+            width = min(span, self.cols - (slot % 2) * span)
+            value = products[name]
+            if value >> width:
+                raise DesignError(f"product {name} does not fit its slot")
+            values[name] = value
+        for index, (_, x, y) in enumerate(passes):
+            values[f"x{index}"] = x
+            values[f"y{index}"] = y
+        return values
 
     # ------------------------------------------------------------------
     def _run(

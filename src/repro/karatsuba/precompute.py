@@ -34,7 +34,7 @@ from repro.arith.koggestone import (
 )
 from repro.crossbar.array import CrossbarArray
 from repro.crossbar.endurance import WearLevelingController
-from repro.karatsuba.stage import Stage
+from repro.karatsuba.stage import WearLeveledStage
 from repro.karatsuba.unroll import UnrolledPlan, build_plan
 from repro.magic.executor import int_to_bits
 from repro.magic.passes import summarize_reports
@@ -81,7 +81,7 @@ class PrecomputeResult:
     cycles: int
 
 
-class PrecomputeStage(Stage):
+class PrecomputeStage(WearLeveledStage):
     """Cycle-accurate precomputation subarray.
 
     The stage owns its crossbar unit, a wear-leveling controller, and one
@@ -274,48 +274,27 @@ class PrecomputeStage(Stage):
     def process_batch(
         self, jobs: List[Tuple[List[int], List[int]]]
     ) -> List[PrecomputeResult]:
-        """Run B precomputation passes in one SIMD sweep per wear state.
-
-        Jobs are grouped by the wear state they would execute under in
-        sequential order (the leveler alternates per multiplication),
-        each group replays the state's mega-program over a
-        ``(K, rows, cols)`` batched crossbar seeded at the steady all-
-        ones state, and the per-lane writes/energy are folded back into
-        this stage's array — bit-identical counters and results to
-        calling :meth:`process` per job.  The stage clock advances by
-        one pass per group (lanes run in lock-step).
-        """
+        """Run B precomputation passes as one SIMD batch
+        (:meth:`WearLeveledStage._replay_jobs`): bit-identical results
+        and counters to calling :meth:`process` per job, with the stage
+        clock advancing one pass per wear-state group."""
         inputs = [self._inputs(a, b) for a, b in jobs]
         if not inputs:
             return []
-        groups = (
-            self.leveler.batch_groups(len(inputs))
-            if self.wear_leveling
-            else [list(range(len(inputs)))]
-        )
         all_sums: Dict[int, Dict[str, int]] = {}
-        cycles_per_job = 0
-        for group in groups:
-            self._power_up()
-            program, hist, cycles_per_job = self._mega_program()
-            bindings = [inputs[j] for j in group]
 
-            # One compile per wear state for the stage's lifetime (the
-            # unit's persistent cache), replayed by every batch.
-            with self.unit.replay(program, bindings) as (_, stats):
-                for lane, j in enumerate(group):
-                    results = dict(bindings[lane])
-                    results.update(stats[lane].results)
-                    residues = {
-                        name: self.checker.res(value)
-                        for name, value in bindings[lane].items()
-                    }
-                    for step in self.plan.precompute_adds:
-                        self._check_add(step, results, residues)
-                    all_sums[j] = results
-            for opcode, cost in hist.items():
-                self.clock.tick(cost, category=opcode)
-            self.passes += len(group)
+        def check_job(j, sensed):
+            results = dict(inputs[j])
+            results.update(sensed)
+            residues = {
+                name: self.checker.res(value)
+                for name, value in inputs[j].items()
+            }
+            for step in self.plan.precompute_adds:
+                self._check_add(step, results, residues)
+            all_sums[j] = results
+
+        cycles_per_job = self._replay_jobs(inputs, check_job)
         return [
             PrecomputeResult(chunk_sums=all_sums[j], cycles=cycles_per_job)
             for j in range(len(inputs))

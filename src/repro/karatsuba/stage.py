@@ -7,15 +7,18 @@ the MAGIC subarrays), single-row multipliers
 only moves words through the periphery).  Area, wear and repair derive
 from those lists, so a stage never restates them.  :class:`RowStage`
 is the checked lane-parallel multiply the Karatsuba multiplication
-stage, the Toom-3 point-wise stage and the schoolbook row share.
+stage, the Toom-3 point-wise stage and the schoolbook row share;
+:class:`WearLeveledStage` is the batched wear-state replay the
+Karatsuba precompute and postcompute stages share.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.arith import rowmul
 from repro.arith.rowmul import RowMultiplier, RowMultiplierSpec
+from repro.magic.program import Program
 from repro.magic.unit import CrossbarUnit
 from repro.reliability.residue import DEFAULT_RESIDUE_BITS, ResidueChecker
 from repro.sim.clock import Clock
@@ -57,6 +60,72 @@ class Stage:
         return [
             row for unit in self.units for row in unit.diagnose_and_repair()
         ]
+
+
+class WearLeveledStage(Stage):
+    """A crossbar stage that runs each job as one mega-program, one
+    program per wear state of its region-swap leveler.
+
+    A subclass owns ``unit`` (its :class:`CrossbarUnit`), ``leveler``
+    (a :class:`~repro.crossbar.endurance.WearLevelingController`),
+    ``wear_leveling``, ``clock`` and ``passes``, and builds the current
+    wear state's program in :meth:`_mega_program`.
+    """
+
+    def _power_up(self) -> None:
+        """Once per wear state: bring the rows the current state's
+        program expects at logic one there, out of band."""
+        raise NotImplementedError
+
+    def _mega_program(self) -> Tuple[Program, Dict[str, int], int]:
+        """``(program, clock histogram, cycles per job)`` of one pass
+        in the current wear state."""
+        raise NotImplementedError
+
+    def _replay_jobs(
+        self,
+        bindings: Sequence[Dict[str, int]],
+        check_job: Callable[[int, Dict[str, int]], None],
+    ) -> int:
+        """Run a batch of jobs, one binding set each, as one SIMD batch.
+
+        Jobs are grouped by the wear state they would execute under in
+        sequential order (the leveler alternates per job), and
+        :meth:`CrossbarUnit.replay_batch` runs the groups' programs:
+        one replay for the whole batch on a fault-free unit, one per
+        group otherwise.  ``check_job(j, results)`` senses and
+        self-checks job *j*'s READ results.  Each group ticks the clock
+        once by its program's histogram (lanes run in lock-step) and
+        counts its jobs in ``passes``.  Returns the per-job cycles of
+        the last group's program.
+        """
+        jobs = len(bindings)
+        groups = (
+            self.leveler.batch_groups(jobs)
+            if self.wear_leveling
+            else [list(range(jobs))]
+        )
+        # (clock histogram, cycles per job) of each group's program.
+        accounts: List[Tuple[Dict[str, int], int]] = []
+
+        def programs():
+            for group in groups:
+                self._power_up()
+                program, hist, cycles = self._mega_program()
+                accounts.append((hist, cycles))
+                yield program, group
+
+        def check(index, group, stats):
+            for lane, j in enumerate(group):
+                check_job(j, stats[lane].results)
+            for opcode, cost in accounts[index][0].items():
+                self.clock.tick(cost, category=opcode)
+            self.passes += len(group)
+
+        # Programs compile once per wear state for the stage's lifetime
+        # (the unit's persistent cache) and are replayed by every batch.
+        self.unit.replay_batch(programs(), bindings, check)
+        return accounts[-1][1]
 
 
 class RowStage(Stage):

@@ -139,8 +139,9 @@ class CompiledProgram:
 
     Compilation validates every op against the target array geometry,
     materialises column masks and field slices once, and precomputes the
-    static stats (cycle count, op histogram, per-category cycles).  The
-    compiled form is immutable and reusable: one compile, any number of
+    static stats (cycle count, op histogram, per-category cycles) and
+    the write-pulse map (:meth:`writes_delta`).  The compiled form is
+    immutable and reusable: one compile, any number of
     :meth:`BatchedMagicExecutor.execute` replays with fresh bindings.
     """
 
@@ -158,6 +159,10 @@ class CompiledProgram:
         self.steps: List[tuple] = []
         #: (start, stop) -> the column mask its steps share.
         self.window_masks: Dict[Tuple[int, int], np.ndarray] = {}
+        #: Write pulses per (logical row, column window or None).
+        self._pulses: Counter = Counter()
+        #: (row map, physical rows) -> materialised write-counter delta.
+        self._deltas: Dict[tuple, np.ndarray] = {}
         #: Word-backend lowering, built on first word-packed replay.
         self._word_lowered = None
         self._compile(program)
@@ -204,6 +209,9 @@ class CompiledProgram:
 
     def _compile(self, program: Program) -> None:
         specs_seen: Dict[Tuple[str, int], None] = {}
+        # One (row, column window) entry per write pulse; a window of
+        # None is the full row.
+        pulses: List[tuple] = []
         for op in program:
             op.validate(self.rows, self.cols)
             self.cycle_count += op.cycles
@@ -231,25 +239,29 @@ class CompiledProgram:
                         list(g.in_rows) if isinstance(g, Nor) else [g.in_row]
                     )
                     gang.append((in_rows, g.out_row, self._col_mask(g.cols)))
+                    pulses.append((g.out_row, g.cols))
                 self.steps.append((_PACK, tuple(gang)))
             elif isinstance(op, Init):
-                self.steps.append(
-                    (_INIT, tuple(dict.fromkeys(op.rows)), self._col_mask(op.cols))
-                )
+                rows = tuple(dict.fromkeys(op.rows))
+                self.steps.append((_INIT, rows, self._col_mask(op.cols)))
+                pulses.extend([(row, op.cols) for row in rows])
             elif isinstance(op, Nor):
                 self.steps.append(
                     (_NOR, list(op.in_rows), op.out_row, self._col_mask(op.cols))
                 )
+                pulses.append((op.out_row, op.cols))
             elif isinstance(op, Not):
                 self.steps.append(
                     (_NOR, [op.in_row], op.out_row, self._col_mask(op.cols))
                 )
+                pulses.append((op.out_row, op.cols))
             elif isinstance(op, Write):
                 field = self._field(op.col_offset, op.width)
                 mask = self._window_mask(field.start, field.stop)
                 spec = (op.name, field.stop - field.start)
                 specs_seen.setdefault(spec)
                 self.steps.append((_WRITE, op.row, field, mask, spec))
+                pulses.append((op.row, (field.start, field.stop)))
             elif isinstance(op, Read):
                 field = self._field(op.col_offset, op.width)
                 self.steps.append((_READ, op.row, field, op.name))
@@ -258,6 +270,7 @@ class CompiledProgram:
                 window = (
                     slice(0, self.cols) if op.cols is None else slice(*op.cols)
                 )
+                also_init = tuple(dict.fromkeys(op.also_init))
                 self.steps.append(
                     (
                         _SHIFT,
@@ -267,14 +280,39 @@ class CompiledProgram:
                         bool(op.fill),
                         window,
                         mask,
-                        tuple(dict.fromkeys(op.also_init)),
+                        also_init,
                     )
                 )
+                # One masked write-back plus a piggy-backed INIT of
+                # each listed row, all over the shift window.
+                pulses.append((op.dst_row, op.cols))
+                pulses.extend([(row, op.cols) for row in also_init])
             elif isinstance(op, Nop):
                 self.steps.append((_NOP,))
             else:  # pragma: no cover - defensive
                 raise ProgramError(f"unknown micro-op {op!r}")
         self.write_specs = list(specs_seen)
+        self._pulses = Counter(pulses)
+
+    def writes_delta(self, row_map: Sequence[int], phys_rows: int) -> np.ndarray:
+        """Write-counter delta of one lane's replay under *row_map*.
+
+        Pulse placement is data-independent, so every lane of every
+        replay adds this same ``(phys_rows, cols)`` delta to its
+        array's counters.  *row_map* sends each logical row to its
+        physical row (the array's spare-row remap table).  Materialised
+        once per distinct row map; the result is read-only.
+        """
+        key = (tuple(row_map), phys_rows)
+        delta = self._deltas.get(key)
+        if delta is None:
+            delta = np.zeros((phys_rows, self.cols), dtype=np.int64)
+            for (row, cols), count in self._pulses.items():
+                start, stop = cols or (0, self.cols)
+                delta[row_map[row], start:stop] += count
+            delta.flags.writeable = False
+            self._deltas[key] = delta
+        return delta
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -801,14 +839,13 @@ class _WordLoweredProgram:
     distinct ``(start, stop)`` column ranges; :meth:`masks` expands
     that small table into the big-integer masks of one lane width, once
     per width.  Steps address physical rows, resolved and cached per
-    row map by :meth:`resolve` together with the write-counter delta.
+    row map by :meth:`resolve`.
 
-    The lowering also precomputes the program's data-independent
-    accounting: the per-lane pulse-cell counts (set/reset/read) behind
-    the constant part of the energy model, and the write-pulse recipe
-    from which a per-row-map ``(phys_rows, cols)`` write-counter delta
-    is materialised.  Cached on the compiled program, so stage
-    mega-programs lower once for the lifetime of the stage.
+    The lowering also precomputes the per-lane pulse-cell counts
+    (set/reset/read) behind the constant part of the energy model; the
+    write counters come from :meth:`CompiledProgram.writes_delta`.
+    Cached on the compiled program, so stage mega-programs lower once
+    for the lifetime of the stage.
 
     Step layouts (logical rows kept where fault hooks and errors name
     them):
@@ -832,7 +869,6 @@ class _WordLoweredProgram:
         "reset_cells",
         "read_cells",
         "_logical",
-        "_writes_recipe",
         "_masks",
         "_resolved",
     )
@@ -860,8 +896,6 @@ class _WordLoweredProgram:
         self.set_cells = 0
         self.reset_cells = 0
         self.read_cells = 0
-        #: Write pulses per (logical row, window).
-        recipe: Counter = Counter()
 
         for step in compiled.steps:
             code = step[0]
@@ -883,20 +917,17 @@ class _WordLoweredProgram:
                     gang.append(
                         (in_rows[0], tuple(in_rows[1:]), out_row, w, out_row)
                     )
-                    recipe[out_row, w] += 1
                 steps.append((_PACK, tuple(gang)))
             elif code == _INIT:
                 _, rows, mask = step
                 w = cols_window(mask)
                 cells = cols if mask is None else int(mask.sum())
                 self.set_cells += cells * len(rows)
-                recipe.update((row, w) for row in rows)
                 steps.append((_INIT, rows, w))
             elif code == _WRITE:
                 _, row, field, _mask, spec = step
                 w = window(field.start, field.stop)
                 self.reset_cells += field.stop - field.start
-                recipe[row, w] += 1
                 steps.append((_WRITE, row, specs[spec], w, row))
             elif code == _READ:
                 _, row, field, name = step
@@ -928,8 +959,6 @@ class _WordLoweredProgram:
                 self.read_cells += stop - start
                 self.reset_cells += stop - start
                 self.set_cells += (stop - start) * len(also_init)
-                recipe[dst, w] += 1
-                recipe.update((row, w) for row in also_init)
                 steps.append(
                     (_SHIFT, src, dst, offset, w, fill_window, also_init, dst)
                 )
@@ -943,11 +972,10 @@ class _WordLoweredProgram:
             compiled._window_mask(start, stop) for start, stop in self.windows
         ]
         self._logical = steps
-        self._writes_recipe = recipe
         #: lane_bits -> (window masks, their complements).
         self._masks: Dict[int, Tuple[List[int], List[int]]] = {}
-        #: (row_map, phys_rows) -> (physical steps, write-counter delta).
-        self._resolved: Dict[tuple, Tuple[List[tuple], np.ndarray]] = {}
+        #: row map -> physical steps.
+        self._resolved: Dict[tuple, List[tuple]] = {}
 
     def masks(self, lane_bits: int, cols: int) -> Tuple[List[int], List[int]]:
         """Packed masks of every window at *lane_bits*, and complements."""
@@ -969,24 +997,13 @@ class _WordLoweredProgram:
             + device.e_read_fj * self.read_cells
         )
 
-    def resolve(
-        self, row_map: Sequence[int], phys_rows: int, cols: int
-    ) -> Tuple[List[tuple], np.ndarray]:
-        """Physical-row steps and write-counter delta under *row_map*.
-
-        Both are static properties of (program, remap table): pulse
-        placement is data-independent, so the delta is materialised
-        once per distinct row map and added to the array's counters per
-        batch.
-        """
-        key = (tuple(row_map), phys_rows)
-        entry = self._resolved.get(key)
-        if entry is None:
-            entry = self._resolved[key] = (
-                self._map_rows(row_map),
-                self._writes_delta(row_map, phys_rows, cols),
-            )
-        return entry
+    def resolve(self, row_map: Sequence[int]) -> List[tuple]:
+        """Physical-row steps under *row_map*, cached per row map."""
+        key = tuple(row_map)
+        steps = self._resolved.get(key)
+        if steps is None:
+            steps = self._resolved[key] = self._map_rows(row_map)
+        return steps
 
     def _map_rows(self, rmap: Sequence[int]) -> List[tuple]:
         if all(phys == row for row, phys in enumerate(rmap)):
@@ -1018,16 +1035,6 @@ class _WordLoweredProgram:
                 )
             steps.append(step)
         return steps
-
-    def _writes_delta(
-        self, row_map: Sequence[int], phys_rows: int, cols: int
-    ) -> np.ndarray:
-        delta = np.zeros((phys_rows, cols), dtype=np.int64)
-        windows = self.windows
-        for (row, w), pulses in self._writes_recipe.items():
-            start, stop = windows[w]
-            delta[row_map[row], start:stop] += pulses
-        return delta
 
 
 class WordPackedMagicExecutor:
@@ -1180,9 +1187,7 @@ class WordPackedMagicExecutor:
         lowered = self._lowered(compiled)
         packed = self._pack_operands(compiled.write_specs, bindings_list)
         lane_bits = array.lane_bits
-        steps, writes_delta = lowered.resolve(
-            array._row_map, array.phys_rows, array.cols
-        )
+        steps = lowered.resolve(array._row_map)
         masks, not_masks = lowered.masks(lane_bits, array.cols)
         np_masks = lowered.np_masks
         windows = lowered.windows
@@ -1291,7 +1296,7 @@ class WordPackedMagicExecutor:
             + (device.e_set_fj - device.e_reset_fj) * sets
             + lowered.energy_const_fj(device) * batch
         )
-        array._writes += writes_delta
+        array._writes += compiled.writes_delta(array._row_map, array.phys_rows)
         begin_cc = self.clock.cycles
         for opcode, cycles in compiled.cycles_by_opcode.items():
             self.clock.tick(cycles, category=opcode)

@@ -6,13 +6,15 @@ wear, energy, fault and spare-row state), the scalar anchor
 :class:`~repro.magic.executor.MagicExecutor` (the persistent compile
 cache and the transient-fault hook), and the batched execution backend
 (:mod:`repro.magic.backend`).  :meth:`CrossbarUnit.replay` is the one
-SIMD routine every stage pass goes through.
+SIMD routine every stage pass goes through; :meth:`CrossbarUnit.replay_batch`
+runs a wear-leveled stage batch, one replay for all its wear states
+when placement cannot change the outcome.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from repro.magic.backend import get_backend
 from repro.magic.executor import MagicExecutor, pack_ints
 from repro.magic.program import Program
 from repro.sim.clock import Clock
+from repro.sim.stats import RunStats
 
 
 class CrossbarUnit:
@@ -64,6 +67,77 @@ class CrossbarUnit:
         array, which returns to all ones.  If the body raises, nothing
         folds: a failed self-check leaves the counters as they were.
         """
+        lanes, stats = self._execute(
+            self.executor.compile(program), bindings, rows
+        )
+        yield lanes, stats
+        # Each lane models one sequential reuse of the same physical
+        # subarray: pulses repeat per lane, switching energy is per lane.
+        self._fold(lanes, lanes.writes * len(bindings))
+
+    def replay_batch(
+        self,
+        passes: Iterable[Tuple[Program, Sequence[int]]],
+        bindings: Sequence[Dict[str, int]],
+        check: Callable[[int, Sequence[int], List[RunStats]], None],
+    ) -> None:
+        """Run one wear-leveled stage batch.
+
+        Each ``(program, jobs)`` pass in *passes* runs *program* over
+        the bindings of *jobs* (indices into *bindings*); the passes
+        are the batch's wear-state groups, one program per state.
+        ``check(k, jobs, stats)`` is called for the k-th pass, in
+        order, with one :class:`RunStats` per job, to sense and
+        self-check its results.  Writes and energy fold as in
+        :meth:`replay`; if a check raises, the passes not yet folded
+        stay unfolded.
+
+        A wear state only remaps rows, so on a unit without pinned
+        stuck-at faults or a fault hook every pass computes the same
+        values and switches the same energy wherever its rows sit.
+        Then the first pass's program replays once over every job, and
+        the jobs of each later pass add their own program's static
+        write delta (:meth:`~repro.magic.executor.CompiledProgram.writes_delta`)
+        instead of replaying it.  All passes are drawn from *passes*
+        before that replay.  Otherwise stuck-at cells make
+        results depend on placement and a transient-fault hook draws
+        its random stream per replay, so each pass replays on its own
+        and is drawn from *passes* only after the previous one folded.
+        """
+        if self.executor.fault_hook is not None or self.array.fault_count:
+            for index, (program, jobs) in enumerate(passes):
+                group = [bindings[j] for j in jobs]
+                with self.replay(program, group) as (_, stats):
+                    check(index, jobs, stats)
+            return
+        compiled = [
+            (self.executor.compile(program), jobs) for program, jobs in passes
+        ]
+        if not compiled:
+            return
+        order = [j for _, jobs in compiled for j in jobs]
+        lanes, stats = self._execute(
+            compiled[0][0], [bindings[j] for j in order]
+        )
+        begin = 0
+        for index, (_, jobs) in enumerate(compiled):
+            check(index, jobs, stats[begin : begin + len(jobs)])
+            begin += len(jobs)
+        writes = lanes.writes * len(compiled[0][1])
+        if len(compiled) > 1:
+            array = self.array
+            row_map = [array.physical_row(row) for row in range(array.rows)]
+            for program, jobs in compiled[1:]:
+                writes += program.writes_delta(row_map, array.phys_rows) * len(jobs)
+        self._fold(lanes, writes)
+
+    def _execute(
+        self,
+        compiled,
+        bindings: Sequence[Dict[str, int]],
+        rows: Sequence[Tuple[int, Sequence[int]]] = (),
+    ):
+        """Replay *compiled* over fresh all-ones lanes, one per binding."""
         lanes = self.backend.make_array(self.array, len(bindings))
         lanes.reset_to_ones()
         lanes.repin_faults()
@@ -74,11 +148,12 @@ class CrossbarUnit:
         executor = self.backend.make_executor(
             lanes, clock=Clock(), fault_hook=self.executor.fault_hook
         )
-        stats = executor.execute(self.executor.compile(program), bindings)
-        yield lanes, stats
-        # Each lane models one sequential reuse of the same physical
-        # subarray: pulses repeat per lane, switching energy is per lane.
-        self.array.writes += lanes.writes * len(bindings)
+        return lanes, executor.execute(compiled, bindings)
+
+    def _fold(self, lanes, writes: np.ndarray) -> None:
+        """Charge a replay's *writes* and the lanes' energy to the
+        array, which returns to the all-ones steady state."""
+        self.array.writes += writes
         self.array.energy_fj += lanes.total_energy_fj()
         self.array.state[:] = True
 

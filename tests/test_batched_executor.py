@@ -11,12 +11,14 @@ use ``==`` deliberately.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
 import numpy as np
 import pytest
 
+from repro.arith.bitops import split_chunks
 from repro.arith.koggestone import KoggeStoneUnit, standalone_adder
 from repro.crossbar import BatchedCrossbarArray, CrossbarArray, DeviceModel
 from repro.karatsuba.pipeline import KaratsubaPipeline
@@ -414,3 +416,214 @@ class TestKaratsubaDifferential:
         assert pipeline.controller.precompute.leveler.swapped is True
         pipeline.controller.run_jobs_batch([(2, 4)])
         assert pipeline.controller.precompute.leveler.swapped is False
+
+
+# ----------------------------------------------------------------------
+# One replay per stage batch: fused wear states vs per-group replays
+# ----------------------------------------------------------------------
+class _SilentHook:
+    """A transient-fault hook that never flips a bit.  Its presence alone
+    makes a unit replay each wear-state group on its own."""
+
+    def on_nor(self, array, out_row, mask):
+        pass
+
+    def on_write(self, array, row, mask, pre):
+        pass
+
+    def on_read(self, array, row):
+        pass
+
+
+def _strand_fault(controller):
+    """Pin a stuck-at cell on row 0 of both adder stages, then remap the
+    row onto a spare: results stay exact, but the units carry a fault."""
+    for stage in (controller.precompute, controller.postcompute):
+        stage.array.inject_fault(0, 0, "sa1")
+        stage.array.remap_row(0)
+
+
+def _remap_only(controller):
+    for stage in (controller.precompute, controller.postcompute):
+        stage.array.remap_row(0)
+
+
+class _CountingBackend:
+    """Wraps a stage unit's backend and counts the replays it builds."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.replays = 0
+
+    def make_array(self, template, batch):
+        self.replays += 1
+        return self.backend.make_array(template, batch)
+
+    def make_executor(self, array, **kwargs):
+        return self.backend.make_executor(array, **kwargs)
+
+
+def _count_replays(controller):
+    counters = {}
+    for name in ("precompute", "postcompute"):
+        unit = getattr(controller, name).unit
+        unit.backend = counters[name] = _CountingBackend(unit.backend)
+    return counters
+
+
+def _fused_differential(
+    jobs, wear_leveling=True, backend="word", prepare=None, hook=None, seed=0
+):
+    """Run *jobs* pairs at n = 16 job by job and as one batch; assert
+    bit-identical results and accounting; return the replays each
+    stage's batch took."""
+    rng = random.Random(seed)
+    pairs = [(rng.randrange(2**16), rng.randrange(2**16)) for _ in range(jobs)]
+    sequential = KaratsubaPipeline(16, wear_leveling=wear_leveling).controller
+    batched = KaratsubaPipeline(
+        16, wear_leveling=wear_leveling, backend=backend
+    ).controller
+    for controller in (sequential, batched):
+        if prepare is not None:
+            prepare(controller)
+    if hook is not None:
+        batched.fault_hook = hook
+    counters = _count_replays(batched)
+    seq_records = [sequential.run_job(a, b) for a, b in pairs]
+    bat_records = batched.run_jobs_batch(pairs)
+
+    assert [r.product for r in bat_records] == [a * b for a, b in pairs]
+    assert [r.product for r in seq_records] == [a * b for a, b in pairs]
+    assert sequential.max_writes() == batched.max_writes()
+    assert sequential.total_energy_fj() == batched.total_energy_fj()
+    groups = min(jobs, 2) if wear_leveling else 1
+    for name in ("precompute", "postcompute"):
+        seq_stage = getattr(sequential, name)
+        bat_stage = getattr(batched, name)
+        assert np.array_equal(seq_stage.array.writes, bat_stage.array.writes)
+        assert seq_stage.array.energy_fj == bat_stage.array.energy_fj
+        assert seq_stage.leveler.swaps == bat_stage.leveler.swaps
+        assert seq_stage.passes == bat_stage.passes == jobs
+        # Lanes run in lock-step: one pass of the clock per wear-state
+        # group, each tick category scaled from the per-job path.
+        assert bat_stage.clock.cycles * jobs == seq_stage.clock.cycles * groups
+        assert {
+            category: cycles * jobs
+            for category, cycles in bat_stage.clock.by_category.items()
+        } == {
+            category: cycles * groups
+            for category, cycles in seq_stage.clock.by_category.items()
+        }
+    for seq_rec, bat_rec in zip(seq_records, bat_records):
+        assert seq_rec.precompute_cycles == bat_rec.precompute_cycles
+        assert seq_rec.postcompute_cycles == bat_rec.postcompute_cycles
+    return {name: counter.replays for name, counter in counters.items()}
+
+
+class TestFusedStageBatch:
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize("wear_leveling", [True, False])
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 32])
+    def test_one_replay_matches_sequential(self, jobs, wear_leveling, backend):
+        replays = _fused_differential(
+            jobs, wear_leveling, backend, seed=jobs
+        )
+        assert replays == {"precompute": 1, "postcompute": 1}
+
+    @pytest.mark.parametrize("wear_leveling", [True, False])
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 32])
+    def test_fault_hook_takes_per_group_path(self, jobs, wear_leveling):
+        replays = _fused_differential(
+            jobs, wear_leveling, hook=_SilentHook(), seed=jobs
+        )
+        groups = min(jobs, 2) if wear_leveling else 1
+        assert replays == {"precompute": groups, "postcompute": groups}
+
+    def test_stuck_at_fault_takes_per_group_path(self):
+        replays = _fused_differential(3, prepare=_strand_fault, seed=5)
+        assert replays == {"precompute": 2, "postcompute": 2}
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_spare_row_remap_stays_fused(self, jobs):
+        # The other wear state's write delta lands on the spare row.
+        replays = _fused_differential(jobs, prepare=_remap_only, seed=6)
+        assert replays == {"precompute": 1, "postcompute": 1}
+
+    def test_fused_equals_per_group_replays(self):
+        """Clocks, results and every counter of the fused replay equal
+        the per-group replays it replaces."""
+        rng = random.Random(12)
+        pairs = [(rng.randrange(2**32), rng.randrange(2**32)) for _ in range(5)]
+        fused = KaratsubaPipeline(32, backend="word").controller
+        grouped = KaratsubaPipeline(32, backend="word").controller
+        grouped.fault_hook = _SilentHook()
+        for _ in range(2):  # odd batches: the start state alternates
+            fused_records = fused.run_jobs_batch(pairs)
+            grouped_records = grouped.run_jobs_batch(pairs)
+            assert fused_records == grouped_records
+        for name in ("precompute", "postcompute"):
+            a, b = getattr(fused, name), getattr(grouped, name)
+            assert np.array_equal(a.array.writes, b.array.writes)
+            assert a.array.energy_fj == b.array.energy_fj
+            assert a.clock.cycles == b.clock.cycles
+            assert a.clock.by_category == b.clock.by_category
+            assert a.leveler.swaps == b.leveler.swaps == 10
+
+
+# ----------------------------------------------------------------------
+# Static write-pulse map vs executed replays
+# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def _stage_mega_programs(stage_name, n_bits, optimize):
+    """Geometry, both wear states' mega-programs and one lane's
+    bindings of a Karatsuba adder stage."""
+    controller = KaratsubaPipeline(n_bits, optimize=optimize).controller
+    rng = random.Random(n_bits)
+    chunk = n_bits // 4
+    a_chunks = split_chunks(rng.randrange(2**n_bits), chunk, 4)
+    b_chunks = split_chunks(rng.randrange(2**n_bits), chunk, 4)
+    stage = getattr(controller, stage_name)
+    if stage_name == "precompute":
+        binding = stage._inputs(a_chunks, b_chunks)
+    else:
+        sums = controller.precompute.process_batch([(a_chunks, b_chunks)])
+        products = controller.multiply_stage.process_batch(
+            [sums[0].chunk_sums]
+        )[0].products
+        passes, _ = stage._plan_passes(products)
+        binding = stage._bindings(products, passes)
+    programs = []
+    for _ in range(2):
+        programs.append(stage._mega_program()[0])
+        stage.leveler.swap()
+    return stage.array.rows, stage.array.cols, tuple(programs), binding
+
+
+class TestStaticWritesDelta:
+    @pytest.mark.parametrize("remap", [False, True])
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize("optimize", [False, True])
+    @pytest.mark.parametrize("n_bits", [16, 64, 256])
+    @pytest.mark.parametrize("stage_name", ["precompute", "postcompute"])
+    def test_delta_equals_executed_writes(
+        self, stage_name, n_bits, optimize, backend, remap
+    ):
+        rows, cols, programs, binding = _stage_mega_programs(
+            stage_name, n_bits, optimize
+        )
+        resolved = get_backend(backend)
+        for program in programs:  # one per wear state
+            array = CrossbarArray(rows, cols, spare_rows=2)
+            if remap:
+                array.remap_row(0)
+                array.remap_row(rows - 1)
+            row_map = [array.physical_row(row) for row in range(rows)]
+            compiled = MagicExecutor(array).compile(program)
+            lanes = resolved.make_array(array, 2)
+            lanes.reset_to_ones()
+            resolved.make_executor(lanes).execute(compiled, [binding] * 2)
+            delta = compiled.writes_delta(row_map, array.phys_rows)
+            assert delta.shape == (array.phys_rows, cols)
+            assert np.array_equal(lanes.writes, delta)
+            if remap:
+                assert not delta[0].any() and not delta[rows - 1].any()

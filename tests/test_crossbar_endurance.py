@@ -89,6 +89,36 @@ class TestWearLevelingController:
         with pytest.raises(ValueError):
             WearLevelingController([0, 1], [1, 2])
 
+    @pytest.mark.parametrize("start_swaps", [0, 1])
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 32])
+    def test_batch_groups_split_by_parity(self, jobs, start_swaps):
+        wlc = WearLevelingController([0, 1], [2, 3])
+        wlc.advance(start_swaps)
+        states = []
+        groups = []
+        for group in wlc.batch_groups(jobs):
+            states.append(wlc.swapped)
+            groups.append(group)
+        assert groups[0] == list(range(0, jobs, 2))
+        assert groups[1:] == ([list(range(1, jobs, 2))] if jobs > 1 else [])
+        # Each group sees the state its jobs would run under in order.
+        assert states == [bool(start_swaps), not start_swaps][: len(groups)]
+        assert wlc.swaps == start_swaps + jobs
+
+    def test_batch_groups_of_zero_jobs_is_a_no_op(self):
+        wlc = WearLevelingController([0, 1], [2, 3])
+        assert list(wlc.batch_groups(0)) == []
+        assert wlc.swaps == 0
+        assert not wlc.swapped
+        assert wlc.physical_row(0) == 0
+
+    def test_batch_groups_rejects_negative_jobs(self):
+        wlc = WearLevelingController([0, 1], [2, 3])
+        with pytest.raises(ValueError):
+            list(wlc.batch_groups(-1))
+        assert wlc.swaps == 0
+        assert wlc.physical_row(0) == 0
+
     def test_wear_halving_effect(self):
         """Alternating the scratch region across two physical row sets
         roughly halves the hottest cell's accumulation (Sec. IV-B)."""
