@@ -21,11 +21,13 @@ floors of the supervision contract:
 * the circuit breaker cycles closed → open → half-open → closed — a
   recovered shard takes traffic again instead of staying fenced.
 
-Scenario schedules are seeded (:func:`repro.eval.loadgen.chaos_scenario`),
-so every run injects at the same command points.  Inline shards cover
-the deterministic supervisor paths; the SIGKILL and hang scenarios run
-real worker processes so the dead-man poll and heartbeat timeout are
-exercised against a genuine corpse.
+The campaign loop is :func:`repro.eval.loadgen.chaos_campaign`, shared
+with ``repro chaos-campaign``; its schedules are seeded
+(:func:`repro.eval.loadgen.chaos_scenario`), so every run injects at
+the same command points.  Inline shards cover the deterministic
+supervisor paths; the SIGKILL and hang scenarios run real worker
+processes so the dead-man poll and heartbeat timeout are exercised
+against a genuine corpse.
 
 Runs under pytest (``pytest benchmarks/bench_chaos.py``) and as a
 script (``python benchmarks/bench_chaos.py``), which exits non-zero
@@ -38,7 +40,7 @@ import sys
 
 from repro.eval import loadgen
 from repro.eval.report import format_table
-from repro.frontend import FrontendConfig, SupervisionConfig
+from repro.frontend import SupervisionConfig
 from repro.service import ServiceConfig
 
 JOBS = 48
@@ -75,26 +77,9 @@ def run_bench():
     load = loadgen.build_load(
         "fhe", "poisson", JOBS, MEAN_GAP_CC, seed=SEED
     )
-    reports = []
-    for name, processes in SCENARIOS:
-        chaos, sigkill_after = loadgen.chaos_scenario(
-            name, SHARDS, JOBS, BATCH, seed=SEED
-        )
-        frontend_config = FrontendConfig(
-            shards=SHARDS,
-            inline=not processes,
-            service=service_config,
-            supervision=SUPERVISION,
-            chaos=chaos,
-        )
-        reports.append(
-            loadgen.run_chaos(
-                load,
-                frontend_config,
-                scenario=name,
-                sigkill_after=sigkill_after,
-            )
-        )
+    reports = loadgen.chaos_campaign(
+        load, SCENARIOS, SHARDS, service_config, SUPERVISION, seed=SEED
+    )
     rows = [
         (
             f"{report.scenario}{'/proc' if processes else ''}",

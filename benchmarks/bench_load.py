@@ -31,7 +31,7 @@ import sys
 from repro.eval import loadgen
 from repro.eval.report import format_table
 from repro.frontend import FrontendConfig
-from repro.service import AutoscalerConfig, ServiceConfig
+from repro.service import ServiceConfig
 
 #: Saturating Poisson load (single-way per-job bottleneck ~757 cc).
 JOBS = 64
@@ -53,43 +53,15 @@ def run_bench():
         "fhe", "poisson", JOBS, MEAN_GAP_CC, seed=SEED,
         deadline_slack_cc=16_000,
     )
-    sync_report, _ = loadgen.run_sync(
-        load, service_config, mix="fhe", process="poisson"
-    )
-    sharded_report, snapshot = loadgen.run_sharded(
+    comparison = loadgen.sharding_comparison(
         load,
         FrontendConfig(shards=SHARDS, inline=True, service=service_config),
         mix="fhe",
         process="poisson",
     )
-    speedup = (
-        sync_report.horizon_cc / sharded_report.horizon_cc
-        if sharded_report.horizon_cc
-        else 0.0
-    )
-    outstanding = snapshot["service"]["outstanding_futures"]
+    sync_report, sharded_report = comparison.sync, comparison.sharded
     resolved = sharded_report.completed + sharded_report.shed
-
-    # Bursty MMPP through an autoscaled single service: the way pool
-    # must both grow during bursts and shrink back in the lulls.
-    burst_config = ServiceConfig(
-        batch_size=8,
-        ways_per_width=1,
-        autoscale=AutoscalerConfig(
-            min_ways=1, max_ways=4,
-            high_depth=16, low_depth=8,
-            up_ticks=2, down_ticks=10,
-        ),
-    )
-    burst = loadgen.build_load(
-        "fhe", "bursty", 400, 1600, seed=SEED ^ 0xB5, burst_gap_cc=60
-    )
-    burst_report, burst_service = loadgen.run_sync(
-        burst, burst_config, mix="fhe", process="bursty"
-    )
-    counters = burst_service.snapshot()["counters"]
-    ups = counters.get("autoscale_up_total", 0)
-    downs = counters.get("autoscale_down_total", 0)
+    burst_report, ups, downs = loadgen.bursty_autoscale(SEED)
 
     rows = [
         ("sync p50 / p99", f"{sync_report.p50_cc:,} / {sync_report.p99_cc:,} cc", ""),
@@ -105,7 +77,7 @@ def run_bench():
         ),
         (
             "cycle-domain speedup",
-            f"{speedup:.2f}x",
+            f"{comparison.speedup:.2f}x",
             f">= {MIN_SPEEDUP_X:.1f}x",
         ),
         (
@@ -134,55 +106,54 @@ def run_bench():
             f"{SHARDS} shards (virtual cycle domain)"
         ),
     )
-    return (
-        speedup,
-        sharded_report,
-        outstanding,
-        resolved,
-        ups,
-        downs,
-        table,
-    )
+    return comparison, ups, downs, table
+
+
+def _check_floors(comparison, ups, downs) -> list:
+    sharded = comparison.sharded
+    outstanding = comparison.snapshot["service"]["outstanding_futures"]
+    failures = []
+    if comparison.speedup < MIN_SPEEDUP_X:
+        failures.append(
+            f"cycle-domain speedup {comparison.speedup:.2f}x below floor "
+            f"{MIN_SPEEDUP_X}x"
+        )
+    if sharded.p99_cc > SLO_P99_CC:
+        failures.append(
+            f"sharded p99 {sharded.p99_cc} cc exceeds SLO {SLO_P99_CC} cc"
+        )
+    if outstanding:
+        failures.append(f"{outstanding} futures never resolved")
+    if sharded.completed + sharded.shed != sharded.offered:
+        failures.append("admitted requests went missing")
+    if ups < MIN_SCALE_EVENTS:
+        failures.append("autoscaler never scaled up")
+    if downs < MIN_SCALE_EVENTS:
+        failures.append("autoscaler never scaled down")
+    return failures
 
 
 def test_open_loop_sharded_serving():
-    speedup, sharded, outstanding, resolved, ups, downs, table = run_bench()
+    comparison, ups, downs, table = run_bench()
     try:
         from benchmarks.conftest import register_report
 
         register_report("load", table)
     except ImportError:  # script mode, no harness
         pass
-    assert speedup >= MIN_SPEEDUP_X, (
-        f"cycle-domain speedup {speedup:.2f}x below floor {MIN_SPEEDUP_X}x"
-    )
-    assert sharded.p99_cc <= SLO_P99_CC, (
-        f"sharded p99 {sharded.p99_cc} cc exceeds SLO {SLO_P99_CC} cc"
-    )
-    assert outstanding == 0, f"{outstanding} futures never resolved"
-    assert resolved == sharded.offered, "admitted requests went missing"
-    assert ups >= MIN_SCALE_EVENTS, "autoscaler never scaled up"
-    assert downs >= MIN_SCALE_EVENTS, "autoscaler never scaled down"
+    failures = _check_floors(comparison, ups, downs)
+    assert not failures, "; ".join(failures)
 
 
 if __name__ == "__main__":
-    speedup, sharded, outstanding, resolved, ups, downs, table = run_bench()
+    comparison, ups, downs, table = run_bench()
     print(table)
-    failed = []
-    if speedup < MIN_SPEEDUP_X:
-        failed.append(f"speedup {speedup:.2f}x below {MIN_SPEEDUP_X}x")
-    if sharded.p99_cc > SLO_P99_CC:
-        failed.append(f"p99 {sharded.p99_cc} cc over SLO {SLO_P99_CC} cc")
-    if outstanding:
-        failed.append(f"{outstanding} futures unresolved")
-    if resolved != sharded.offered:
-        failed.append("admitted requests went missing")
-    if ups < MIN_SCALE_EVENTS or downs < MIN_SCALE_EVENTS:
-        failed.append(f"autoscale events up={ups} down={downs}")
-    if failed:
-        print("FAIL: " + "; ".join(failed))
+    failures = _check_floors(comparison, ups, downs)
+    if failures:
+        print("FAIL: " + "; ".join(failures))
         sys.exit(1)
     print(
-        f"OK: {speedup:.2f}x speedup, p99 {sharded.p99_cc:,} cc, "
+        f"OK: {comparison.speedup:.2f}x speedup, "
+        f"p99 {comparison.sharded.p99_cc:,} cc, "
         f"{ups} ups / {downs} downs, zero dropped futures"
     )

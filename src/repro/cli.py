@@ -255,25 +255,20 @@ def _cmd_load_bench(args: argparse.Namespace) -> int:
         seed=args.seed,
         deadline_slack_cc=args.deadline_slack_cc,
     )
-    sync_report, sync_service = loadgen.run_sync(
-        load, service_config, mix=args.mix, process=args.arrivals
-    )
     frontend_config = FrontendConfig(
         shards=args.shards,
         inline=not args.processes,
         service=service_config,
         routing=args.routing,
     )
-    sharded_report, snapshot = loadgen.run_sharded(
+    comparison = loadgen.sharding_comparison(
         load, frontend_config, mix=args.mix, process=args.arrivals
     )
-    speedup = (
-        sync_report.horizon_cc / sharded_report.horizon_cc
-        if sharded_report.horizon_cc
-        else 0.0
-    )
     rows = []
-    for label, report in (("sync", sync_report), ("sharded", sharded_report)):
+    for label, report in (
+        ("sync", comparison.sync),
+        ("sharded", comparison.sharded),
+    ):
         rows.append(
             (
                 label,
@@ -304,25 +299,20 @@ def _cmd_load_bench(args: argparse.Namespace) -> int:
     print()
     print(
         f"cycle-domain speedup (sync horizon / sharded horizon): "
-        f"{speedup:.2f}x"
-    )
-    auto = snapshot.get("autoscaler", {})
-    sync_counters = sync_service.snapshot()["counters"]
-    ups = sync_counters.get("autoscale_up_total", 0) + auto.get("scale_ups", 0)
-    downs = (
-        sync_counters.get("autoscale_down_total", 0)
-        + auto.get("scale_downs", 0)
+        f"{comparison.speedup:.2f}x"
     )
     if autoscale is not None:
+        auto = comparison.snapshot.get("autoscaler", {})
+        counters = comparison.sync_counters
+        ups = counters.get("autoscale_up_total", 0) + auto.get("scale_ups", 0)
+        downs = counters.get("autoscale_down_total", 0) + auto.get(
+            "scale_downs", 0
+        )
         print(f"autoscale events (sync + sharded): {ups} up, {downs} down")
-    outstanding = snapshot["service"]["outstanding_futures"]
-    if outstanding:  # pragma: no cover - future-loss guard
-        print(f"FAIL: {outstanding} futures never resolved", file=sys.stderr)
-        return 1
-    if args.slo_p99_cc is not None and sharded_report.p99_cc > args.slo_p99_cc:
+    p99 = comparison.sharded.p99_cc
+    if args.slo_p99_cc is not None and p99 > args.slo_p99_cc:
         print(
-            f"FAIL: sharded p99 {sharded_report.p99_cc} cc exceeds "
-            f"SLO {args.slo_p99_cc} cc",
+            f"FAIL: sharded p99 {p99} cc exceeds SLO {args.slo_p99_cc} cc",
             file=sys.stderr,
         )
         return 1
@@ -480,7 +470,7 @@ def _cmd_chaos_campaign(args: argparse.Namespace) -> int:
     """
     from repro.eval import loadgen
     from repro.eval.report import format_table
-    from repro.frontend import FrontendConfig, SupervisionConfig
+    from repro.frontend import SupervisionConfig
     from repro.service import ServiceConfig
 
     scenarios = (
@@ -503,26 +493,14 @@ def _cmd_chaos_campaign(args: argparse.Namespace) -> int:
     load = loadgen.build_load(
         args.mix, args.arrivals, args.jobs, args.gap_cc, seed=args.seed
     )
-    reports = []
-    for name in scenarios:
-        chaos, sigkill_after = loadgen.chaos_scenario(
-            name, args.shards, args.jobs, args.batch_size, seed=args.seed
-        )
-        frontend_config = FrontendConfig(
-            shards=args.shards,
-            inline=not args.processes,
-            service=service_config,
-            supervision=supervision,
-            chaos=chaos,
-        )
-        reports.append(
-            loadgen.run_chaos(
-                load,
-                frontend_config,
-                scenario=name,
-                sigkill_after=sigkill_after,
-            )
-        )
+    reports = loadgen.chaos_campaign(
+        load,
+        [(name, args.processes) for name in scenarios],
+        args.shards,
+        service_config,
+        supervision,
+        seed=args.seed,
+    )
     if args.json or args.out:
         import json
 

@@ -161,6 +161,18 @@ class CrossbarArray:
         return len(self._faults)
 
     @property
+    def mapped_fault_count(self) -> int:
+        """Pinned faults on physical rows the row map still uses.
+
+        A fault stranded on a word line that :meth:`remap_row` retired
+        can no longer touch any logical row, so it is not counted.
+        """
+        if not self._faults:
+            return 0
+        mapped = set(self._row_map)
+        return sum(1 for row, _ in self._faults if row in mapped)
+
+    @property
     def faults(self) -> Dict[Tuple[int, int], str]:
         """Read-only copy of the injected fault map.
 

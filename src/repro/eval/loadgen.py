@@ -27,12 +27,23 @@ Arrival processes (all seeded, all integer-cycle schedules):
 Operand mixes reuse the trace families of
 :mod:`repro.eval.workloads` (``fhe`` 64-bit limbs, ``zkp`` 384-bit
 field elements, ``mixed`` interleaved widths).
+
+There is one driver per serving target: :func:`run_sync` (one
+synchronous service), :func:`run_frontend` (the async sharded
+front-end, graded both for latency and against the supervision
+contract) and :func:`run_crypto` (the workload engine).  Each load
+scenario is defined once — :func:`sharding_comparison`,
+:func:`bursty_autoscale` and :func:`chaos_campaign` — and shared by
+the CLI, the benchmark floor scripts and the ``BENCH_*`` collectors.
 """
 
 from __future__ import annotations
 
+import asyncio
+import bisect
 import math
 import random
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -49,6 +60,7 @@ from repro.service import (
     MultiplicationService,
     QueueFullError,
     ServiceConfig,
+    ServiceError,
 )
 from repro.sim.exceptions import DesignError
 
@@ -61,18 +73,21 @@ __all__ = [
     "ChaosReport",
     "CryptoLoadItem",
     "CryptoLoadReport",
+    "FrontendRun",
     "LoadItem",
     "LoadReport",
+    "ShardingComparison",
     "Slo",
     "arrival_schedule",
     "build_crypto_load",
     "build_load",
+    "bursty_autoscale",
+    "chaos_campaign",
     "chaos_scenario",
-    "run_chaos",
     "run_crypto",
-    "run_sharded",
+    "run_frontend",
     "run_sync",
-    "render",
+    "sharding_comparison",
     "zipf_weights",
 ]
 
@@ -224,6 +239,30 @@ def _percentile(sorted_values: Sequence[int], q: float) -> int:
     return sorted_values[rank - 1]
 
 
+def _latency_summary(results: Sequence[object]) -> Dict[str, object]:
+    """The cycle-domain latency fields every report shares.
+
+    Nearest-rank p50/p95/p99 and mean service latency, deadline-miss
+    rate and completion horizon of *results* — any result type that
+    carries ``service_latency_cc``, ``deadline_met`` and
+    ``completion_cc``.
+    """
+    latencies = sorted(
+        r.service_latency_cc
+        for r in results
+        if r.service_latency_cc is not None
+    )
+    misses = sum(1 for r in results if r.deadline_met is False)
+    return {
+        "p50_cc": _percentile(latencies, 0.50),
+        "p95_cc": _percentile(latencies, 0.95),
+        "p99_cc": _percentile(latencies, 0.99),
+        "mean_cc": sum(latencies) / len(latencies) if latencies else 0.0,
+        "miss_rate": misses / len(results) if results else 0.0,
+        "horizon_cc": max((r.completion_cc or 0 for r in results), default=0),
+    }
+
+
 @dataclass(frozen=True)
 class LoadReport:
     """Outcome of one open-loop run, entirely in the cycle domain."""
@@ -277,49 +316,55 @@ def _make_report(
     process: str,
     offered: int,
     results: List[MulResult],
-    shed_by_priority: Dict[int, int],
-    rejected_deadline: int,
-    wall_seconds: float = 0.0,
+    failures: List[Tuple[int, ServiceError]],
+    wall_seconds: float,
 ) -> LoadReport:
-    latencies = sorted(
-        r.service_latency_cc
-        for r in results
-        if r.service_latency_cc is not None
-    )
-    misses = sum(1 for r in results if r.deadline_met is False)
-    horizon = max((r.completion_cc or 0 for r in results), default=0)
+    """Grade one run.  *failures* are its typed request failures as
+    ``(priority, error)``, classified here into per-priority queue-full
+    sheds and impossible-deadline rejections."""
+    shed: Dict[int, int] = {}
+    for priority, error in failures:
+        if isinstance(error, QueueFullError):
+            shed[priority] = shed.get(priority, 0) + 1
+    summary = _latency_summary(results)
+    horizon = summary["horizon_cc"]
     good = sum(1 for r in results if r.deadline_met is not False)
     counts = [0] * (len(LATENCY_BUCKETS_CC) + 1)
-    for latency in latencies:
-        for index, edge in enumerate(LATENCY_BUCKETS_CC):
-            if latency <= edge:
-                counts[index] += 1
-                break
-        else:
-            counts[-1] += 1
+    for r in results:
+        if r.service_latency_cc is not None:
+            bucket = bisect.bisect_left(LATENCY_BUCKETS_CC, r.service_latency_cc)
+            counts[bucket] += 1
     return LoadReport(
         mix=mix,
         process=process,
         offered=offered,
         completed=len(results),
-        shed_by_priority=dict(shed_by_priority),
-        rejected_deadline=rejected_deadline,
-        p50_cc=_percentile(latencies, 0.50),
-        p95_cc=_percentile(latencies, 0.95),
-        p99_cc=_percentile(latencies, 0.99),
-        mean_cc=sum(latencies) / len(latencies) if latencies else 0.0,
-        miss_rate=misses / len(results) if results else 0.0,
-        horizon_cc=horizon,
+        shed_by_priority=shed,
+        rejected_deadline=sum(
+            isinstance(error, DeadlineImpossibleError) for _, error in failures
+        ),
         goodput_per_mcc=good * 1e6 / horizon if horizon else 0.0,
         histogram=tuple(counts),
         wall_seconds=wall_seconds,
+        **summary,
     )
 
 
 # ----------------------------------------------------------------------
-# Drivers
+# Drivers: one loop per serving target
 # ----------------------------------------------------------------------
 _SETTLE_CC = 1_000_000  # clock advance past the last arrival at drain
+
+
+def _settle(target, load: Sequence[object]):
+    """Advance *target*'s clock past the last arrival and drain it.
+
+    Returns what ``target.drain()`` returns: the results of the
+    synchronous service, an awaitable for the async front-end.
+    """
+    if load:
+        target.advance_to_cc(load[-1].arrival_cc + _SETTLE_CC)
+    return target.drain()
 
 
 def run_sync(
@@ -334,12 +379,9 @@ def run_sync(
     funnels through a single service instance, so batches of different
     widths serialise on its way pools.
     """
-    import time
-
     service = MultiplicationService(config if config else ServiceConfig())
     results: List[MulResult] = []
-    shed: Dict[int, int] = {}
-    rejected_deadline = 0
+    failures: List[Tuple[int, ServiceError]] = []
     started = time.perf_counter()
     for index, entry in enumerate(load):
         request = MulRequest(
@@ -353,89 +395,15 @@ def run_sync(
         )
         try:
             service.submit_request(request)
-        except QueueFullError:
-            shed[entry.priority] = shed.get(entry.priority, 0) + 1
-        except DeadlineImpossibleError:
-            rejected_deadline += 1
+        except (QueueFullError, DeadlineImpossibleError) as error:
+            failures.append((entry.priority, error))
         results.extend(service.take_completed())
-    if load:
-        service.advance_to_cc(load[-1].arrival_cc + _SETTLE_CC)
-    results.extend(service.drain())
+    results.extend(_settle(service, load))
     wall = time.perf_counter() - started
-    report = _make_report(
-        mix, process, len(load), results, shed, rejected_deadline, wall
-    )
+    report = _make_report(mix, process, len(load), results, failures, wall)
     return report, service
 
 
-def run_sharded(
-    load: List[LoadItem],
-    frontend_config: "FrontendConfig",
-    mix: str = "?",
-    process: str = "sharded",
-) -> Tuple[LoadReport, Dict[str, object]]:
-    """Open-loop run through the async sharded frontend.
-
-    Wraps the asyncio driver in ``asyncio.run`` for synchronous
-    callers (benchmarks, CLI).  Returns the report plus the frontend's
-    merged snapshot (autoscaler counters, per-shard state).
-    """
-    import asyncio
-
-    return asyncio.run(_run_sharded(load, frontend_config, mix, process))
-
-
-async def _run_sharded(
-    load: List[LoadItem],
-    frontend_config: "FrontendConfig",
-    mix: str,
-    process: str,
-) -> Tuple[LoadReport, Dict[str, object]]:
-    import asyncio
-    import time
-
-    from repro.frontend import AsyncShardedFrontend
-
-    shed: Dict[int, int] = {}
-    rejected_deadline = 0
-    results: List[MulResult] = []
-    started = time.perf_counter()
-    async with AsyncShardedFrontend(frontend_config) as fe:
-        futures = []
-        for entry in load:
-            future = await fe.submit(
-                entry.item.a,
-                entry.item.b,
-                entry.item.n_bits,
-                priority=entry.priority,
-                deadline_cc=entry.deadline_cc,
-                arrival_cc=entry.arrival_cc,
-            )
-            futures.append((entry, future))
-        if load:
-            fe.advance_to_cc(load[-1].arrival_cc + _SETTLE_CC)
-        await fe.drain()
-        for entry, future in futures:
-            try:
-                results.append(await future)
-            except QueueFullError:
-                shed[entry.priority] = shed.get(entry.priority, 0) + 1
-            except DeadlineImpossibleError:
-                rejected_deadline += 1
-        snapshot = await fe.snapshot()
-        outstanding = fe.outstanding
-    wall = time.perf_counter() - started
-    if outstanding:  # pragma: no cover - future-loss guard
-        raise RuntimeError(f"{outstanding} futures left unresolved")
-    report = _make_report(
-        mix, process, len(load), results, shed, rejected_deadline, wall
-    )
-    return report, snapshot
-
-
-# ----------------------------------------------------------------------
-# Chaos campaign driver
-# ----------------------------------------------------------------------
 #: Canonical chaos scenarios (see :func:`chaos_scenario`).  ``none`` is
 #: the fault-free control; ``sigkill`` is an *external* hard kill of
 #: shard 0 mid-batch (no injection schedule — the driver calls
@@ -514,6 +482,205 @@ class ChaosReport:
         }
 
 
+@dataclass(frozen=True)
+class FrontendRun:
+    """One open-loop run through the async sharded front-end."""
+
+    #: Latency, deadline misses and shedding, in the cycle domain.
+    report: LoadReport
+    #: Terminal-state accounting against the supervision contract.
+    chaos: ChaosReport
+    #: The front-end's merged snapshot (autoscaler counters, per-shard
+    #: state).
+    snapshot: Dict[str, object]
+
+
+def run_frontend(
+    load: List[LoadItem],
+    frontend_config: "FrontendConfig",
+    mix: str = "?",
+    process: str = "sharded",
+    scenario: str = "none",
+    sigkill_after: Optional[int] = None,
+) -> FrontendRun:
+    """Open-loop run through the async sharded front-end.
+
+    ``ShardFailedError`` at submit is a rejection at admission; a
+    future failing with a typed ``ServiceError`` is a typed failure
+    (queue-full sheds and impossible deadlines also feed the latency
+    report); futures still pending after the drain are stranded.
+    Chaos injection rides in ``frontend_config.chaos``
+    (:func:`chaos_scenario`); *sigkill_after* hard-kills shard 0 right
+    before that submit index.  *mix*/*process* label the latency
+    report, *scenario* the chaos report.
+    """
+    return asyncio.run(
+        _run_frontend(
+            load, frontend_config, mix, process, scenario, sigkill_after
+        )
+    )
+
+
+async def _run_frontend(
+    load: List[LoadItem],
+    frontend_config: "FrontendConfig",
+    mix: str,
+    process: str,
+    scenario: str,
+    sigkill_after: Optional[int],
+) -> FrontendRun:
+    from repro.frontend import AsyncShardedFrontend, ShardFailedError
+
+    failures: List[Tuple[int, ServiceError]] = []
+    rejected_at_submit = 0
+    mismatched = 0
+    results: List[MulResult] = []
+    futures: List[Tuple[LoadItem, "asyncio.Future"]] = []
+    started = time.perf_counter()
+    async with AsyncShardedFrontend(frontend_config) as fe:
+        for index, entry in enumerate(load):
+            if index == sigkill_after:
+                fe.kill_shard(0, reason=f"{scenario} drill at submit {index}")
+            try:
+                future = await fe.submit(
+                    entry.item.a,
+                    entry.item.b,
+                    entry.item.n_bits,
+                    priority=entry.priority,
+                    deadline_cc=entry.deadline_cc,
+                    arrival_cc=entry.arrival_cc,
+                )
+            except ShardFailedError:
+                rejected_at_submit += 1
+                continue
+            futures.append((entry, future))
+        await _settle(fe, load)
+        stranded = sum(1 for _, f in futures if not f.done())
+        for _, future in futures:
+            if not future.done():  # pragma: no cover - contract violation
+                future.cancel()
+        for entry, future in futures:
+            try:
+                result = await future
+            except asyncio.CancelledError:  # pragma: no cover
+                continue
+            except ServiceError as error:
+                failures.append((entry.priority, error))
+                continue
+            results.append(result)
+            if result.product != entry.item.a * entry.item.b:
+                mismatched += 1  # pragma: no cover - service is bit-exact
+        snapshot = await fe.snapshot()
+        outstanding = fe.outstanding
+        journal_after = fe.journal_size
+        breakers = tuple(fe.breaker_states())
+    wall = time.perf_counter() - started
+    counters = snapshot["counters"]
+    chaos = ChaosReport(
+        scenario=scenario,
+        offered=len(load),
+        admitted=len(futures),
+        completed=len(results),
+        failed_typed=len(failures),
+        rejected_at_submit=rejected_at_submit,
+        stranded=stranded,
+        mismatched=mismatched,
+        outstanding_after=outstanding,
+        journal_after=journal_after,
+        shard_deaths=counters.get("frontend_shard_deaths", 0),
+        shard_restarts=counters.get("frontend_shard_restarts", 0),
+        redispatches=counters.get("frontend_redispatches", 0),
+        orphan_results=counters.get("frontend_orphan_results", 0),
+        breaker_transitions=counters.get("frontend_breaker_transitions", 0),
+        breakers=breakers,
+        wall_seconds=wall,
+    )
+    report = _make_report(mix, process, len(load), results, failures, wall)
+    return FrontendRun(report=report, chaos=chaos, snapshot=snapshot)
+
+
+# ----------------------------------------------------------------------
+# Scenarios: each defined once, shared by the CLI, the benchmark floor
+# scripts and the BENCH_* collectors
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class ShardingComparison:
+    """One load through the sync service and the sharded front-end."""
+
+    sync: LoadReport
+    sharded: LoadReport
+    #: The sync service's counters (autoscale events).
+    sync_counters: Dict[str, int]
+    #: The front-end's merged snapshot.
+    snapshot: Dict[str, object]
+
+    @property
+    def speedup(self) -> float:
+        """Cycle-domain speedup: sync horizon over sharded horizon."""
+        if not self.sharded.horizon_cc:
+            return 0.0
+        return self.sync.horizon_cc / self.sharded.horizon_cc
+
+
+def sharding_comparison(
+    load: List[LoadItem],
+    frontend_config: "FrontendConfig",
+    mix: str = "?",
+    process: str = "?",
+) -> ShardingComparison:
+    """Replay *load* through one synchronous service and through the
+    sharded front-end on the same per-shard config
+    (``frontend_config.service``) — the equal-offered-load comparison
+    behind ``repro load-bench``, the load floor bench and
+    ``BENCH_load.json``.  Raises ``RuntimeError`` if the front-end
+    leaves a future unresolved.
+    """
+    sync, service = run_sync(
+        load, frontend_config.service, mix=mix, process=process
+    )
+    run = run_frontend(load, frontend_config, mix=mix, process=process)
+    if run.chaos.outstanding_after:  # pragma: no cover - future-loss guard
+        raise RuntimeError(
+            f"{run.chaos.outstanding_after} futures left unresolved"
+        )
+    return ShardingComparison(
+        sync=sync,
+        sharded=run.report,
+        sync_counters=service.snapshot()["counters"],
+        snapshot=run.snapshot,
+    )
+
+
+def bursty_autoscale(seed: int = 0x10AD) -> Tuple[LoadReport, int, int]:
+    """A 400-job bursty MMPP load through one autoscaled service.
+
+    The way pool should grow during bursts and shrink back in the
+    lulls.  Returns the latency report and the autoscaler's scale-up
+    and scale-down counts.
+    """
+    from repro.service import AutoscalerConfig
+
+    config = ServiceConfig(
+        batch_size=8,
+        ways_per_width=1,
+        autoscale=AutoscalerConfig(
+            min_ways=1, max_ways=4,
+            high_depth=16, low_depth=8,
+            up_ticks=2, down_ticks=10,
+        ),
+    )
+    load = build_load(
+        "fhe", "bursty", 400, 1600, seed=seed ^ 0xB5, burst_gap_cc=60
+    )
+    report, service = run_sync(load, config, mix="fhe", process="bursty")
+    counters = service.snapshot()["counters"]
+    return (
+        report,
+        counters.get("autoscale_up_total", 0),
+        counters.get("autoscale_down_total", 0),
+    )
+
+
 def chaos_scenario(
     name: str,
     shards: int,
@@ -575,106 +742,40 @@ def chaos_scenario(
     return None, jobs // 2  # sigkill
 
 
-def run_chaos(
+def chaos_campaign(
     load: List[LoadItem],
-    frontend_config: "FrontendConfig",
-    scenario: str = "kill",
-    sigkill_after: Optional[int] = None,
-) -> ChaosReport:
-    """Drive one load through the frontend under a chaos scenario.
+    scenarios: Sequence[Tuple[str, bool]],
+    shards: int,
+    service: ServiceConfig,
+    supervision: "SupervisionConfig",
+    seed: int = 0xC4A05,
+) -> List[ChaosReport]:
+    """Drive *load* through each ``(name, processes)`` chaos scenario.
 
-    The caller builds ``frontend_config`` with the scenario's
-    :class:`~repro.frontend.ChaosConfig` already set (see
-    :func:`chaos_scenario`); ``sigkill_after`` additionally hard-kills
-    shard 0 right before that submit index.  Unlike
-    :func:`run_sharded`, admission failures are expected here —
-    ``ShardFailedError`` at submit is counted, not raised — and the
-    report grades terminal-state coverage rather than latency.
+    Every run gets a fresh front-end of *shards* shards — worker
+    processes when ``processes`` is true, inline otherwise — with the
+    scenario's seeded schedule from :func:`chaos_scenario`.  Returns
+    one :class:`ChaosReport` per scenario, in order.
     """
-    import asyncio
+    from repro.frontend import FrontendConfig
 
-    return asyncio.run(
-        _run_chaos(load, frontend_config, scenario, sigkill_after)
-    )
-
-
-async def _run_chaos(
-    load: List[LoadItem],
-    frontend_config: "FrontendConfig",
-    scenario: str,
-    sigkill_after: Optional[int],
-) -> ChaosReport:
-    import asyncio
-    import time
-
-    from repro.frontend import AsyncShardedFrontend, ShardFailedError
-    from repro.service import ServiceError
-
-    rejected = 0
-    completed = 0
-    failed_typed = 0
-    mismatched = 0
-    futures: List[Tuple[LoadItem, "asyncio.Future"]] = []
-    started = time.perf_counter()
-    async with AsyncShardedFrontend(frontend_config) as fe:
-        for index, entry in enumerate(load):
-            if sigkill_after is not None and index == sigkill_after:
-                fe.kill_shard(0, reason=f"{scenario} drill at submit {index}")
-            try:
-                future = await fe.submit(
-                    entry.item.a,
-                    entry.item.b,
-                    entry.item.n_bits,
-                    priority=entry.priority,
-                    deadline_cc=entry.deadline_cc,
-                    arrival_cc=entry.arrival_cc,
-                )
-            except ShardFailedError:
-                rejected += 1
-                continue
-            futures.append((entry, future))
-        if load:
-            fe.advance_to_cc(load[-1].arrival_cc + _SETTLE_CC)
-        await fe.drain()
-        stranded = sum(1 for _, f in futures if not f.done())
-        for _, future in futures:
-            if not future.done():  # pragma: no cover - contract violation
-                future.cancel()
-        for entry, future in futures:
-            try:
-                result = await future
-            except asyncio.CancelledError:  # pragma: no cover
-                continue
-            except ServiceError:
-                failed_typed += 1
-                continue
-            completed += 1
-            if result.product != entry.item.a * entry.item.b:
-                mismatched += 1  # pragma: no cover - service is bit-exact
-        snapshot = await fe.snapshot()
-        outstanding = fe.outstanding
-        journal_after = fe.journal_size
-        breakers = tuple(fe.breaker_states())
-    counters = snapshot["counters"]
-    return ChaosReport(
-        scenario=scenario,
-        offered=len(load),
-        admitted=len(futures),
-        completed=completed,
-        failed_typed=failed_typed,
-        rejected_at_submit=rejected,
-        stranded=stranded,
-        mismatched=mismatched,
-        outstanding_after=outstanding,
-        journal_after=journal_after,
-        shard_deaths=counters.get("frontend_shard_deaths", 0),
-        shard_restarts=counters.get("frontend_shard_restarts", 0),
-        redispatches=counters.get("frontend_redispatches", 0),
-        orphan_results=counters.get("frontend_orphan_results", 0),
-        breaker_transitions=counters.get("frontend_breaker_transitions", 0),
-        breakers=breakers,
-        wall_seconds=time.perf_counter() - started,
-    )
+    reports = []
+    for name, processes in scenarios:
+        chaos, sigkill_after = chaos_scenario(
+            name, shards, len(load), service.batch_size, seed=seed
+        )
+        config = FrontendConfig(
+            shards=shards,
+            inline=not processes,
+            service=service,
+            supervision=supervision,
+            chaos=chaos,
+        )
+        run = run_frontend(
+            load, config, scenario=name, sigkill_after=sigkill_after
+        )
+        reports.append(run.chaos)
+    return reports
 
 
 # ----------------------------------------------------------------------
@@ -854,8 +955,6 @@ def run_crypto(
     misses and the context-cache hit rate all live on the virtual cycle
     clock, so the report is seed-deterministic.
     """
-    import time
-
     from repro.crypto.ec import TINY_CURVE
     from repro.workloads import (
         CryptoWorkloadEngine,
@@ -868,14 +967,13 @@ def run_crypto(
         curve = TINY_CURVE
     engine = CryptoWorkloadEngine(config=config)
     results: List[object] = []
-    rejected_deadline = 0
+    rejected: List[DeadlineImpossibleError] = []
     by_kind: Dict[str, int] = {}
     started = time.perf_counter()
 
     pending: List[object] = []
 
     def flush_cohort() -> None:
-        nonlocal rejected_deadline
         if not pending:
             return
         try:
@@ -886,8 +984,8 @@ def run_crypto(
             for request in pending:
                 try:
                     results.extend(engine.serve_cohort([request]))
-                except DeadlineImpossibleError:
-                    rejected_deadline += 1
+                except DeadlineImpossibleError as error:
+                    rejected.append(error)
         pending.clear()
 
     for index, entry in enumerate(load):
@@ -906,8 +1004,8 @@ def run_crypto(
             )
             try:
                 results.append(engine.serve_msm(request))
-            except DeadlineImpossibleError:
-                rejected_deadline += 1
+            except DeadlineImpossibleError as error:
+                rejected.append(error)
             continue
         if entry.kind == "modexp":
             pending.append(
@@ -936,58 +1034,16 @@ def run_crypto(
         if len(pending) >= cohort_size:
             flush_cohort()
     flush_cohort()
-    wall = time.perf_counter() - started
-
-    latencies = sorted(
-        r.service_latency_cc
-        for r in results
-        if r.service_latency_cc is not None
-    )
-    misses = sum(1 for r in results if r.deadline_met is False)
-    horizon = max((r.completion_cc or 0 for r in results), default=0)
     report = CryptoLoadReport(
         offered=len(load),
         completed=len(results),
         by_kind=by_kind,
-        rejected_deadline=rejected_deadline,
-        p50_cc=_percentile(latencies, 0.50),
-        p95_cc=_percentile(latencies, 0.95),
-        p99_cc=_percentile(latencies, 0.99),
-        mean_cc=sum(latencies) / len(latencies) if latencies else 0.0,
-        miss_rate=misses / len(results) if results else 0.0,
-        horizon_cc=horizon,
+        rejected_deadline=len(rejected),
         context_hit_rate=engine.contexts.stats.hit_rate,
         multiplier_passes=sum(r.multiplier_passes for r in results),
         waves=sum(r.waves for r in results),
         residue_checks=sum(r.residue_checks for r in results),
-        wall_seconds=wall,
+        wall_seconds=time.perf_counter() - started,
+        **_latency_summary(results),
     )
     return report, engine
-
-
-# ----------------------------------------------------------------------
-def render(jobs: int = 96, mean_gap_cc: int = 900, seed: int = 0x10AD) -> str:
-    """Latency/goodput table across mixes and arrival processes."""
-    from repro.eval.report import format_table
-
-    rows = []
-    for mix in MIXES:
-        for process in ARRIVAL_PROCESSES:
-            load = build_load(mix, process, jobs, mean_gap_cc, seed=seed)
-            report, _ = run_sync(load, mix=mix, process=process)
-            rows.append(
-                (
-                    f"{mix}/{process}",
-                    report.offered,
-                    report.completed,
-                    report.p50_cc,
-                    report.p99_cc,
-                    f"{report.miss_rate:.1%}",
-                    round(report.goodput_per_mcc, 1),
-                )
-            )
-    return format_table(
-        ("load", "offered", "done", "p50 cc", "p99 cc", "miss", "good/Mcc"),
-        rows,
-        title="Open-loop load through the synchronous service",
-    )

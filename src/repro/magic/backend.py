@@ -51,6 +51,7 @@ from repro.sim.clock import Clock
 from repro.sim.exceptions import ProgramError
 from repro.sim.stats import RunStats
 from repro.sim.trace import Trace
+from repro.telemetry import spans
 
 
 class ExecutorBackend:
@@ -240,16 +241,21 @@ class ScalarLaneExecutor:
                 f"{self.array.batch} lanes"
             )
         stats_list: List[RunStats] = []
-        for lane, bindings in zip(self.array.lanes, bindings_list):
-            executor = MagicExecutor(
-                lane,
-                clock=Clock(),
-                trace=self.trace,
-                fault_hook=self.fault_hook,
-            )
-            stats_list.append(executor.execute(compiled.program, bindings))
-        for opcode, cycles in compiled.cycles_by_opcode.items():
-            self.clock.tick(cycles, category=opcode)
+        # The lanes run with tracing off, so the batch records one
+        # ``magic.program`` span per replay like the SIMD backends.
+        tracer = spans.install(None)
+        try:
+            for lane, bindings in zip(self.array.lanes, bindings_list):
+                executor = MagicExecutor(
+                    lane,
+                    clock=Clock(),
+                    trace=self.trace,
+                    fault_hook=self.fault_hook,
+                )
+                stats_list.append(executor.execute(compiled.program, bindings))
+        finally:
+            spans.install(tracer)
+        compiled.tick_replay(self.clock, self.array.batch)
         return stats_list
 
 

@@ -294,6 +294,25 @@ class CompiledProgram:
         self.write_specs = list(specs_seen)
         self._pulses = Counter(pulses)
 
+    def tick_replay(self, clock: Clock, lanes: int) -> None:
+        """Advance *clock* by one lock-step replay over *lanes* lanes
+        and, when tracing, record the replay's ``magic.program`` span."""
+        begin_cc = clock.cycles
+        for opcode, cycles in self.cycles_by_opcode.items():
+            clock.tick(cycles, category=opcode)
+        tracer = _telemetry.active()
+        if tracer is not None:
+            tracer.record(
+                "magic.program",
+                begin_cc,
+                clock.cycles,
+                label=self.label or "program",
+                ops=len(self.steps),
+                lanes=lanes,
+                nor=self.stat_counts.get("nor_ops", 0)
+                + self.stat_counts.get("not_ops", 0),
+            )
+
     def writes_delta(self, row_map: Sequence[int], phys_rows: int) -> np.ndarray:
         """Write-counter delta of one lane's replay under *row_map*.
 
@@ -773,21 +792,7 @@ class BatchedMagicExecutor:
             if trace_enabled:
                 op = compiled.program.ops[index]
                 self.trace.record(self.clock.cycles, op.opcode, repr(op))
-        begin_cc = self.clock.cycles
-        for opcode, cycles in compiled.cycles_by_opcode.items():
-            self.clock.tick(cycles, category=opcode)
-        tracer = _telemetry.active()
-        if tracer is not None:
-            tracer.record(
-                "magic.program",
-                begin_cc,
-                self.clock.cycles,
-                label=compiled.label or "program",
-                ops=len(compiled.steps),
-                lanes=batch,
-                nor=compiled.stat_counts.get("nor_ops", 0)
-                + compiled.stat_counts.get("not_ops", 0),
-            )
+        compiled.tick_replay(self.clock, batch)
 
         energy = array.energy_fj - energy_before
         stats_list = []
@@ -1297,21 +1302,7 @@ class WordPackedMagicExecutor:
             + lowered.energy_const_fj(device) * batch
         )
         array._writes += compiled.writes_delta(array._row_map, array.phys_rows)
-        begin_cc = self.clock.cycles
-        for opcode, cycles in compiled.cycles_by_opcode.items():
-            self.clock.tick(cycles, category=opcode)
-        tracer = _telemetry.active()
-        if tracer is not None:
-            tracer.record(
-                "magic.program",
-                begin_cc,
-                self.clock.cycles,
-                label=compiled.label or "program",
-                ops=len(compiled.steps),
-                lanes=batch,
-                nor=compiled.stat_counts.get("nor_ops", 0)
-                + compiled.stat_counts.get("not_ops", 0),
-            )
+        compiled.tick_replay(self.clock, batch)
 
         results: List[Dict[str, int]] = [{} for _ in range(batch)]
         if reads:

@@ -99,12 +99,17 @@ class CrossbarUnit:
         the jobs of each later pass add their own program's static
         write delta (:meth:`~repro.magic.executor.CompiledProgram.writes_delta`)
         instead of replaying it.  All passes are drawn from *passes*
-        before that replay.  Otherwise stuck-at cells make
-        results depend on placement and a transient-fault hook draws
-        its random stream per replay, so each pass replays on its own
-        and is drawn from *passes* only after the previous one folded.
+        before that replay.  Otherwise stuck-at cells on rows the row
+        map uses make results depend on placement and a transient-fault
+        hook draws its random stream per replay, so each pass replays
+        on its own and is drawn from *passes* only after the previous
+        one folded.  A fault stranded on a retired word line touches no
+        logical row and keeps the single replay.
         """
-        if self.executor.fault_hook is not None or self.array.fault_count:
+        if (
+            self.executor.fault_hook is not None
+            or self.array.mapped_fault_count
+        ):
             for index, (program, jobs) in enumerate(passes):
                 group = [bindings[j] for j in jobs]
                 with self.replay(program, group) as (_, stats):

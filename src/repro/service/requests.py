@@ -75,6 +75,17 @@ def validate_flexible_width(n_bits: int) -> None:
         )
 
 
+def validate_timing(
+    deadline_cc: Optional[int], arrival_cc: Optional[int]
+) -> None:
+    """Admission check of a request's optional deadline and arrival
+    stamp, shared by every request type."""
+    if deadline_cc is not None and deadline_cc < 0:
+        raise AdmissionError("deadline must be non-negative")
+    if arrival_cc is not None and arrival_cc < 0:
+        raise AdmissionError("arrival timestamp must be non-negative")
+
+
 @dataclass(frozen=True)
 class MulRequest:
     """One multiplication job as submitted by a client.
@@ -130,10 +141,7 @@ class MulRequest:
             raise AdmissionError(
                 f"operands must fit in {self.n_bits} bits"
             )
-        if self.deadline_cc is not None and self.deadline_cc < 0:
-            raise AdmissionError("deadline must be non-negative")
-        if self.arrival_cc is not None and self.arrival_cc < 0:
-            raise AdmissionError("arrival timestamp must be non-negative")
+        validate_timing(self.deadline_cc, self.arrival_cc)
         if not self.kind or not isinstance(self.kind, str):
             raise AdmissionError("request kind must be a non-empty string")
         if self.modulus_bits is not None and self.modulus_bits < 2:

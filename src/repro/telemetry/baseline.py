@@ -285,7 +285,7 @@ def collect_load_metrics(seed: int = 0x10AD) -> Dict[str, Metric]:
     """
     from repro.eval import loadgen
     from repro.frontend import FrontendConfig
-    from repro.service import AutoscalerConfig, ServiceConfig
+    from repro.service import ServiceConfig
 
     service_config = ServiceConfig(batch_size=8, ways_per_width=1)
     metrics: Dict[str, Metric] = {}
@@ -302,53 +302,25 @@ def collect_load_metrics(seed: int = 0x10AD) -> Dict[str, Metric]:
             mix, "poisson", jobs, gap_cc, seed=seed,
             deadline_slack_cc=slack_cc,
         )
-        sync_report, _ = loadgen.run_sync(
-            load, service_config, mix=mix, process="poisson"
-        )
-        sharded_report, _ = loadgen.run_sharded(
+        comparison = loadgen.sharding_comparison(
             load,
             FrontendConfig(shards=4, inline=True, service=service_config),
             mix=mix,
             process="poisson",
         )
-        speedup = (
-            sync_report.horizon_cc / sharded_report.horizon_cc
-            if sharded_report.horizon_cc
-            else 0.0
+        sharded = comparison.sharded
+        metrics[f"{mix}_speedup_x"] = Metric(
+            comparison.speedup, HIGHER_IS_BETTER
         )
-        metrics[f"{mix}_speedup_x"] = Metric(speedup, HIGHER_IS_BETTER)
-        metrics[f"{mix}_p50_cc"] = Metric(
-            sharded_report.p50_cc, LOWER_IS_BETTER
-        )
-        metrics[f"{mix}_p99_cc"] = Metric(
-            sharded_report.p99_cc, LOWER_IS_BETTER
-        )
+        metrics[f"{mix}_p50_cc"] = Metric(sharded.p50_cc, LOWER_IS_BETTER)
+        metrics[f"{mix}_p99_cc"] = Metric(sharded.p99_cc, LOWER_IS_BETTER)
         metrics[f"{mix}_miss_rate"] = Metric(
-            sharded_report.miss_rate, LOWER_IS_BETTER
+            sharded.miss_rate, LOWER_IS_BETTER
         )
-    burst_config = ServiceConfig(
-        batch_size=8,
-        ways_per_width=1,
-        autoscale=AutoscalerConfig(
-            min_ways=1, max_ways=4,
-            high_depth=16, low_depth=8,
-            up_ticks=2, down_ticks=10,
-        ),
-    )
-    burst = loadgen.build_load(
-        "fhe", "bursty", 400, 1600, seed=seed ^ 0xB5, burst_gap_cc=60
-    )
-    burst_report, service = loadgen.run_sync(
-        burst, burst_config, mix="fhe", process="bursty"
-    )
-    counters = service.snapshot()["counters"]
+    burst_report, ups, downs = loadgen.bursty_autoscale(seed)
     metrics["bursty_p99_cc"] = Metric(burst_report.p99_cc, LOWER_IS_BETTER)
-    metrics["autoscale_ups"] = Metric(
-        counters.get("autoscale_up_total", 0), HIGHER_IS_BETTER
-    )
-    metrics["autoscale_downs"] = Metric(
-        counters.get("autoscale_down_total", 0), HIGHER_IS_BETTER
-    )
+    metrics["autoscale_ups"] = Metric(ups, HIGHER_IS_BETTER)
+    metrics["autoscale_downs"] = Metric(downs, HIGHER_IS_BETTER)
     return metrics
 
 

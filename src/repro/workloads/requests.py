@@ -26,7 +26,11 @@ from repro.crypto.modmul import (
     STRATEGY_SPARSE,
 )
 from repro.karatsuba import cost
-from repro.service.requests import AdmissionError, ServiceError
+from repro.service.requests import (
+    AdmissionError,
+    ServiceError,
+    validate_timing,
+)
 
 #: The request kinds the workload layer serves end-to-end.
 KIND_MUL = "mul"
@@ -56,15 +60,6 @@ class WaveSelfCheckError(WorkloadError):
     also covers the serving path (shard transport, journal replay),
     not just the crossbar stages.
     """
-
-
-def _validate_common(
-    priority: int, deadline_cc: Optional[int], arrival_cc: Optional[int]
-) -> None:
-    if deadline_cc is not None and deadline_cc < 0:
-        raise AdmissionError("deadline must be non-negative")
-    if arrival_cc is not None and arrival_cc < 0:
-        raise AdmissionError("arrival timestamp must be non-negative")
 
 
 def _validate_modulus(modulus: int, strategy: Optional[str]) -> None:
@@ -99,7 +94,7 @@ class ModMulRequest:
         _validate_modulus(self.modulus, self.strategy)
         if not (0 <= self.x < self.modulus and 0 <= self.y < self.modulus):
             raise AdmissionError("operands must be residues modulo m")
-        _validate_common(self.priority, self.deadline_cc, self.arrival_cc)
+        validate_timing(self.deadline_cc, self.arrival_cc)
 
 
 @dataclass(frozen=True)
@@ -123,7 +118,7 @@ class ModExpRequest:
             raise AdmissionError("base must be a residue modulo m")
         if self.exponent < 0:
             raise AdmissionError("exponent must be non-negative")
-        _validate_common(self.priority, self.deadline_cc, self.arrival_cc)
+        validate_timing(self.deadline_cc, self.arrival_cc)
 
 
 @dataclass(frozen=True)
@@ -171,7 +166,7 @@ class MsmRequest:
                     f"point ({point.x}, {point.y}) is not on "
                     f"{self.curve.name}"
                 )
-        _validate_common(self.priority, self.deadline_cc, self.arrival_cc)
+        validate_timing(self.deadline_cc, self.arrival_cc)
 
 
 @dataclass(frozen=True)

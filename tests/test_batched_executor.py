@@ -443,6 +443,14 @@ def _strand_fault(controller):
         stage.array.remap_row(0)
 
 
+def _pin_mapped_fault(controller):
+    """Pin a stuck-at-1 cell on a row each adder stage still uses.  For
+    the seed-5 operands of the test below these cells hold 1 whenever
+    they are sensed, so results stay exact while the fault stays live."""
+    controller.precompute.array.inject_fault(14, 1, "sa1")
+    controller.postcompute.array.inject_fault(12, 23, "sa1")
+
+
 def _remap_only(controller):
     for stage in (controller.precompute, controller.postcompute):
         stage.array.remap_row(0)
@@ -540,8 +548,14 @@ class TestFusedStageBatch:
         assert replays == {"precompute": groups, "postcompute": groups}
 
     def test_stuck_at_fault_takes_per_group_path(self):
-        replays = _fused_differential(3, prepare=_strand_fault, seed=5)
+        replays = _fused_differential(3, prepare=_pin_mapped_fault, seed=5)
         assert replays == {"precompute": 2, "postcompute": 2}
+
+    def test_stranded_fault_stays_fused(self):
+        # The fault sits on a retired word line no logical row maps to.
+        replays = _fused_differential(3, prepare=_strand_fault, seed=5)
+        assert replays == {"precompute": 1, "postcompute": 1}
+        _assert_fused_equals_per_group(16, 3, prepare=_strand_fault)
 
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_spare_row_remap_stays_fused(self, jobs):
@@ -552,22 +566,36 @@ class TestFusedStageBatch:
     def test_fused_equals_per_group_replays(self):
         """Clocks, results and every counter of the fused replay equal
         the per-group replays it replaces."""
-        rng = random.Random(12)
-        pairs = [(rng.randrange(2**32), rng.randrange(2**32)) for _ in range(5)]
-        fused = KaratsubaPipeline(32, backend="word").controller
-        grouped = KaratsubaPipeline(32, backend="word").controller
-        grouped.fault_hook = _SilentHook()
-        for _ in range(2):  # odd batches: the start state alternates
-            fused_records = fused.run_jobs_batch(pairs)
-            grouped_records = grouped.run_jobs_batch(pairs)
-            assert fused_records == grouped_records
-        for name in ("precompute", "postcompute"):
-            a, b = getattr(fused, name), getattr(grouped, name)
-            assert np.array_equal(a.array.writes, b.array.writes)
-            assert a.array.energy_fj == b.array.energy_fj
-            assert a.clock.cycles == b.clock.cycles
-            assert a.clock.by_category == b.clock.by_category
-            assert a.leveler.swaps == b.leveler.swaps == 10
+        _assert_fused_equals_per_group(32, 5)
+
+
+def _assert_fused_equals_per_group(n_bits, jobs, prepare=None):
+    """Run two odd batches fused and, under a silent fault hook, per
+    wear-state group; assert identical records, writes, energy, stage
+    clocks and leveler swaps."""
+    rng = random.Random(12)
+    pairs = [
+        (rng.randrange(2**n_bits), rng.randrange(2**n_bits))
+        for _ in range(jobs)
+    ]
+    fused = KaratsubaPipeline(n_bits, backend="word").controller
+    grouped = KaratsubaPipeline(n_bits, backend="word").controller
+    grouped.fault_hook = _SilentHook()
+    for controller in (fused, grouped):
+        if prepare is not None:
+            prepare(controller)
+    for _ in range(2):  # odd batches: the start state alternates
+        fused_records = fused.run_jobs_batch(pairs)
+        grouped_records = grouped.run_jobs_batch(pairs)
+        assert fused_records == grouped_records
+        assert [r.product for r in fused_records] == [a * b for a, b in pairs]
+    for name in ("precompute", "postcompute"):
+        a, b = getattr(fused, name), getattr(grouped, name)
+        assert np.array_equal(a.array.writes, b.array.writes)
+        assert a.array.energy_fj == b.array.energy_fj
+        assert a.clock.cycles == b.clock.cycles
+        assert a.clock.by_category == b.clock.by_category
+        assert a.leveler.swaps == b.leveler.swaps == 2 * jobs
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ Covers the `repro.frontend.supervision` primitives (circuit breaker,
 chaos schedules, config validation), the supervisor's failover paths
 (kill → respawn → journal redispatch, budget exhaustion → typed
 ``ShardFailedError``, drop-reply recovery at drain), shutdown
-robustness with dead workers, and the ``loadgen.run_chaos`` campaign
+robustness with dead workers, and the ``loadgen.chaos_campaign``
 driver.  Process-mode scenarios (real SIGKILL, heartbeat-detected
 hang) run with tightened liveness tunables so the suite stays fast.
 """
@@ -356,14 +356,14 @@ class TestRunChaos:
     def test_campaign_driver_reports_clean_kill(self):
         load = loadgen.build_load("fhe", "poisson", 16, 300, seed=0x10AD)
         chaos, sigkill_after = loadgen.chaos_scenario("kill", 2, 16, 4)
-        report = loadgen.run_chaos(
+        report = loadgen.run_frontend(
             load,
             FrontendConfig(
                 shards=2, inline=True, service=SMALL, chaos=chaos
             ),
             scenario="kill",
             sigkill_after=sigkill_after,
-        )
+        ).chaos
         assert report.clean
         assert report.completed == report.offered == 16
         assert report.shard_deaths == 1 and report.shard_restarts == 1
@@ -375,10 +375,10 @@ class TestRunChaos:
         load = loadgen.build_load("fhe", "poisson", 8, 300, seed=0x10AD)
         chaos, sigkill_after = loadgen.chaos_scenario("none", 2, 8, 4)
         assert chaos is None and sigkill_after is None
-        report = loadgen.run_chaos(
+        report = loadgen.run_frontend(
             load,
             FrontendConfig(shards=2, inline=True, service=SMALL),
             scenario="none",
-        )
+        ).chaos
         assert report.clean and report.shard_deaths == 0
         assert report.redispatches == 0 and report.orphan_results == 0

@@ -242,6 +242,16 @@ class TestFaults:
         array.write_row(0, np.zeros(16, dtype=bool))
         assert array.read_bit(0, 0) == 0
 
+    def test_remap_strands_fault_off_the_row_map(self):
+        array = CrossbarArray(3, 2, spare_rows=1)
+        array.inject_fault(0, 0, FAULT_STUCK_AT_1)
+        array.inject_fault(1, 1, FAULT_STUCK_AT_0)
+        assert array.fault_count == array.mapped_fault_count == 2
+        array.remap_row(0)
+        # The sa1 cell stays pinned on the retired word line.
+        assert array.fault_count == 2
+        assert array.mapped_fault_count == 1
+
 
 class TestEnergyAccounting:
     def test_writes_accumulate_energy(self, array):

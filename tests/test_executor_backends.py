@@ -362,6 +362,23 @@ class TestTelemetrySpanParity:
         assert w.attrs["lanes"] == 3
         assert w.attrs["ops"] > 0
 
+    def test_two_job_batch_spans_match_across_backends(self):
+        """One ``magic.program`` span per replay on every backend: the
+        scalar oracle's per-lane executors record none of their own."""
+        traced = {}
+        for name in ("scalar", "bitplane", "word"):
+            controller = KaratsubaPipeline(16, backend=name).controller
+            with spans.tracing() as tracer:
+                controller.run_jobs_batch([(3, 5), (7, 9)])
+            traced[name] = [
+                (s.begin_cc, s.end_cc, s.attrs)
+                for s in tracer.walk()
+                if s.name == "magic.program"
+            ]
+        assert traced["scalar"] == traced["bitplane"] == traced["word"]
+        assert len(traced["word"]) == 2  # one replay per adder stage
+        assert all(attrs["lanes"] == 2 for _, _, attrs in traced["word"])
+
 
 # ----------------------------------------------------------------------
 # Satellite 1: compile-cache staleness on in-place op mutation

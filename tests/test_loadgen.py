@@ -74,14 +74,14 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("shards", (1, 2, 4))
     def test_sharded_inline_matches_process(self, shards):
-        inline_report, _ = loadgen.run_sharded(
+        inline_report = loadgen.run_frontend(
             self._load(),
             FrontendConfig(shards=shards, inline=True, service=SMALL),
-        )
-        process_report, _ = loadgen.run_sharded(
+        ).report
+        process_report = loadgen.run_frontend(
             self._load(),
             FrontendConfig(shards=shards, inline=False, service=SMALL),
-        )
+        ).report
         assert inline_report.as_dict() == process_report.as_dict()
         assert inline_report.histogram == process_report.histogram
 
@@ -125,10 +125,11 @@ class TestOverloadShedding:
 
     def test_sharded_overload_resolves_every_future(self):
         config = ServiceConfig(batch_size=8, ways_per_width=1, max_pending=8)
-        report, snapshot = loadgen.run_sharded(
+        run = loadgen.run_frontend(
             self._overload(),
             FrontendConfig(shards=2, inline=True, service=config),
         )
+        report, snapshot = run.report, run.snapshot
         assert report.shed > 0
         assert report.completed + report.shed == report.offered
         assert snapshot["service"]["outstanding_futures"] == 0

@@ -119,6 +119,41 @@ class TestModulusContext:
         assert len(cache) == 2
 
 
+class TestRequestTiming:
+    """Workload requests and plain service requests share one deadline
+    and arrival check, with the same error type and message."""
+
+    @pytest.mark.parametrize(
+        "timing, message",
+        [
+            ({"deadline_cc": -1}, "deadline must be non-negative"),
+            ({"arrival_cc": -1}, "arrival timestamp must be non-negative"),
+        ],
+    )
+    def test_negative_timing_rejected_alike(self, timing, message):
+        from repro.service import MulRequest
+
+        builders = (
+            lambda: MulRequest(request_id=0, a=1, b=2, n_bits=16, **timing),
+            lambda: ModMulRequest(
+                request_id=0, x=1, y=2, modulus=SPARSE_M, **timing
+            ),
+            lambda: ModExpRequest(
+                request_id=0, base=2, exponent=3, modulus=SPARSE_M, **timing
+            ),
+            lambda: MsmRequest(
+                request_id=0,
+                scalars=(1,),
+                points=tuple(_tiny_points(1)),
+                curve=TINY_CURVE,
+                **timing,
+            ),
+        )
+        for build in builders:
+            with pytest.raises(AdmissionError, match=f"^{message}$"):
+                build()
+
+
 # ----------------------------------------------------------------------
 # Wave plans
 # ----------------------------------------------------------------------
